@@ -1,9 +1,8 @@
 """Experiment driver: reproducible sampling, coupling and verification runs.
 
 Every command is deterministic for a given configuration: substreams are
-keyed by path index, results are merged in index order, and manifests
-carry the full configuration, so a rerun reproduces every output byte.
-Worker count (GERM_THREADS) never changes results.
+keyed by path index and manifests carry the full configuration, so a rerun
+reproduces every output byte.
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from .coupling import (
     fragmentation_time,
     germ_transform,
     sample_coupled_pair,
+    validate_theta,
 )
-from .parallel import map_indexed
 from .paths import DriftedLaw, TimeGrid, read_csv, sample_bm, write_csv
 from .rng import substream
 from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
-
-_CHUNK = 128
 
 
 class ConfigError(ValueError):
@@ -103,42 +100,24 @@ def cmd_sample(cfg: RunConfig) -> FsPath:
     """Write n_paths driftless stems as path_<id>.csv plus a manifest."""
     out = _out_dir(cfg)
     grid = cfg.grid()
-    for start in range(0, cfg.n_paths, _CHUNK):
-        ids = range(start, min(start + _CHUNK, cfg.n_paths))
-        paths = map_indexed(
-            lambda i, s=start: sample_bm(
-                grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, s + i)
-            ),
-            len(ids),
-        )
-        for i, p in zip(ids, paths):
-            write_csv(p, out / f"path_{i:05d}.csv")
+    for i in range(cfg.n_paths):
+        path = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
+        write_csv(path, out / f"path_{i:05d}.csv")
     _write_manifest(out, cfg.manifest("sample"))
     return out
 
 
 def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
     """Per path: stem CSV, coupled branch CSV, and a fragmentation-time table."""
-    if theta < 0:
-        raise ConfigError(
-            "theta must be >= 0; couple negative drifts through the negation "
-            "symmetry (negate the input and the output of the transform)"
-        )
+    validate_theta(theta)
     out = _out_dir(cfg)
     grid = cfg.grid()
     rows = []
-    for start in range(0, cfg.n_paths, _CHUNK):
-        ids = range(start, min(start + _CHUNK, cfg.n_paths))
-        pairs = map_indexed(
-            lambda i, s=start: sample_coupled_pair(
-                grid, theta, substream(cfg.seed, s + i)
-            ),
-            len(ids),
-        )
-        for i, pair in zip(ids, pairs):
-            write_csv(pair.stem, out / f"stem_{i:05d}.csv")
-            write_csv(pair.branch, out / f"branch_{i:05d}.csv")
-            rows.append((i, pair.frag_time))
+    for i in range(cfg.n_paths):
+        pair = sample_coupled_pair(grid, theta, substream(cfg.seed, i))
+        write_csv(pair.stem, out / f"stem_{i:05d}.csv")
+        write_csv(pair.branch, out / f"branch_{i:05d}.csv")
+        rows.append((i, pair.frag_time))
     if cfg.fmt == "csv":
         lines = ["path_id,frag_time_or_inf"]
         lines.extend(f"{i},{_frag_cell(f)}" for i, f in rows)
@@ -185,10 +164,7 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
     """
     if not cfg.thetas:
         raise ConfigError("thetas must be a nonempty list for bouquet runs")
-    if any(t < 0 for t in cfg.thetas):
-        raise ConfigError("thetas must all be >= 0")
-    if any(b <= a for a, b in zip(cfg.thetas, cfg.thetas[1:])):
-        raise ConfigError("thetas must be strictly increasing")
+    DriftGrid(cfg.thetas)
     out = _out_dir(cfg)
     grid = cfg.grid()
     for i in range(cfg.n_paths):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm
-from .rng import RngStream
+from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm, sample_bm_rows
+from .rng import RngStream, uniform01_from_words
 
 
 class _BeyondHorizon:
@@ -35,8 +35,6 @@ class _BeyondHorizon:
 
 
 BEYOND_HORIZON = _BeyondHorizon()
-
-MeetingTime = float | None | _BeyondHorizon
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,48 @@ def reflect_after_last_visit(w: Path, theta: float) -> Path:
     return Path(w.grid, out)
 
 
+def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.ndarray:
+    """Per row, the first index :func:`reflect_after_last_visit` mirrors.
+
+    That is one past the last grid point at or above the line, found by
+    ``argmax`` on the reversed row: ``n_steps + 1`` when the row ends at or
+    above the line, 0 when no point is.
+    """
+    at_or_above = rows - line_value(theta, times) >= 0.0
+    last = times.size - 1 - at_or_above[:, ::-1].argmax(axis=1)
+    return np.where(at_or_above[np.arange(rows.shape[0]), last], last + 1, 0)
+
+
+def validate_theta(theta: float) -> None:
+    """Reject a drift the germ transform is not defined for."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if theta < 0:
+        raise ValueError(
+            "theta must be >= 0; for a negative drift use the negation "
+            "symmetry: negate germ_transform(-w, u, -theta)"
+        )
+
+
+def _log_likelihood_ratio(w_end, theta: float, horizon: float):
+    return theta * w_end - 0.5 * theta * theta * horizon
+
+
+def _keeps(u: float, log_ratio: float) -> bool:
+    """The keep-branch rule ``u <= exp(log_ratio)``.
+
+    A nonnegative exponent keeps without evaluating exp: u <= 1 <= exp(x),
+    so no decision changes, and exp cannot overflow.  Batched decisions
+    call this too, because ``np.exp`` may differ from ``math.exp`` in the
+    last ulp.
+    """
+    return log_ratio >= 0.0 or u <= math.exp(log_ratio)
+
+
 def endpoint_likelihood_ratio(w: Path, theta: float) -> float:
     """Density exp(theta * w(T) - theta^2 * T / 2) of the drifted endpoint
     law with respect to the driftless one."""
-    return math.exp(theta * float(w.values[-1]) - 0.5 * theta * theta * w.horizon)
+    return math.exp(_log_likelihood_ratio(float(w.values[-1]), theta, w.horizon))
 
 
 def germ_transform(w: Path, u: float, theta: float) -> Path:
@@ -117,14 +153,10 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
     reflected after its last line visit.  Either branch is a single sweep
     over the samples.
     """
-    if theta < 0:
-        raise ValueError(
-            "germ_transform requires theta >= 0; for a negative drift use the "
-            "negation symmetry: negate germ_transform(-w, u, -theta)"
-        )
+    validate_theta(theta)
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    if u <= endpoint_likelihood_ratio(w, theta):
+    if _keeps(u, _log_likelihood_ratio(float(w.values[-1]), theta, w.horizon)):
         return w
     return reflect_after_last_visit(w, theta)
 
@@ -165,6 +197,29 @@ def sample_coupled_pair(
     return CoupledPair(stem, branch, theta, fragmentation_time(stem, branch))
 
 
+def couple_rows(grid, theta: float, words: np.ndarray, *, skip_reflection: bool = False):
+    """:func:`sample_coupled_pair` for many streams, one pair per row.
+
+    ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
+    increments, then the uniform.  Returns the stems, the branches and the
+    first reflected index of each branch (``n_steps + 1`` when it was kept
+    or nothing was reflected).  Row r equals the pair drawn from the
+    stream whose words fill row r, bit for bit.
+    """
+    validate_theta(theta)
+    n = grid.n_steps
+    stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+    if skip_reflection:
+        return stems, stems, np.full(stems.shape[0], n + 1)
+    times = grid.times()
+    start = _reflection_start(times, stems, theta)
+    u = uniform01_from_words(words[:, n])
+    log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
+    start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
+    branches = np.where(np.arange(n + 1) >= start[:, None], theta * times - stems, stems)
+    return stems, branches, start
+
+
 def invert_time(w, t_min: float) -> IrregularPath:
     """Map the window t >= t_min of a trajectory through s -> s * w(1/s).
 
@@ -172,17 +227,23 @@ def invert_time(w, t_min: float) -> IrregularPath:
     ascending.  The t = 0 limit is not representable on a finite grid, so
     ``t_min`` must be strictly positive.
     """
+    s, out = invert_rows(np.asarray(w.times), np.asarray(w.values), t_min)
+    return IrregularPath(np.ascontiguousarray(s), np.ascontiguousarray(out))
+
+
+def invert_rows(times: np.ndarray, values: np.ndarray, t_min: float):
+    """:func:`invert_time` of every path sampled on ``times``, one per row.
+
+    ``values`` holds one path along its last axis, or many in rows.
+    Returns the inverted grid and the inverted values on it.
+    """
     if not t_min > 0:
         raise ValueError(f"t_min must be > 0, got {t_min}")
-    ts = np.asarray(w.times)
-    mask = ts >= t_min
+    mask = times >= t_min
     if np.count_nonzero(mask) < 2:
         raise ValueError("window t >= t_min keeps fewer than 2 grid points")
-    sel_t = ts[mask]
-    sel_v = np.asarray(w.values)[mask]
-    s = (1.0 / sel_t)[::-1]
-    out = (sel_v / sel_t)[::-1]
-    return IrregularPath(np.ascontiguousarray(s), np.ascontiguousarray(out))
+    sel_t = times[mask]
+    return (1.0 / sel_t)[::-1], (values[..., mask] / sel_t)[..., ::-1]
 
 
 def first_meeting(p1, p2, tol: float = 0.0) -> float | None:

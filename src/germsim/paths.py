@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, normal_from_words
 
 
 class CsvFormatError(ValueError):
@@ -127,6 +127,24 @@ def sample_bm(grid: TimeGrid, law: DriftedLaw, stream: RngStream) -> Path:
     np.cumsum(increments, out=vals[1:])
     vals[1:] += law.start
     return Path(grid, vals)
+
+
+def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.ndarray:
+    """Values of :func:`sample_bm` for many streams, one path per row.
+
+    Each row of ``words`` holds at least ``n_steps`` words of one stream
+    (see :func:`~germsim.rng.stream_words`), and the first ``n_steps`` make
+    the increments.  Row r is bit-identical to the values ``sample_bm``
+    draws from that stream.
+    """
+    dt = grid.dt
+    z = normal_from_words(words[:, : grid.n_steps])
+    increments = law.drift * dt + math.sqrt(dt) * z
+    vals = np.empty((words.shape[0], grid.n_steps + 1))
+    vals[:, 0] = law.start
+    np.cumsum(increments, axis=1, out=vals[:, 1:])
+    vals[:, 1:] += law.start
+    return vals
 
 
 def write_csv(path: Path, destination) -> None:

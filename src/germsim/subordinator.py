@@ -21,18 +21,20 @@ from .rng import RngStream
 
 @dataclass(frozen=True)
 class DriftGrid:
-    """Strictly increasing, nonnegative drift values."""
+    """Strictly increasing, finite, nonnegative drift values."""
 
     thetas: tuple[float, ...]
 
     def __post_init__(self):
         thetas = tuple(float(t) for t in self.thetas)
         if len(thetas) == 0:
-            raise ValueError("drift grid must be nonempty")
+            raise ValueError("thetas must be nonempty")
+        if not all(math.isfinite(t) for t in thetas):
+            raise ValueError(f"thetas must all be finite, got {thetas}")
         if any(t < 0 for t in thetas):
-            raise ValueError("drifts must be >= 0")
+            raise ValueError("thetas must all be >= 0")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError("drifts must be strictly increasing")
+            raise ValueError("thetas must be strictly increasing")
         object.__setattr__(self, "thetas", thetas)
 
 

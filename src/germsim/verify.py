@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import first_meeting, invert_time, sample_coupled_pair
-from .parallel import map_indexed
-from .paths import DriftedLaw, Path, TimeGrid, sample_bm
-from .rng import substream
+from .coupling import couple_rows, first_meeting, invert_rows, invert_time
+from .paths import DriftedLaw, Path, TimeGrid, sample_bm, sample_bm_rows
+from .rng import stream_words, substream
 from .stats import (
     Ecdf,
     GofReport,
@@ -50,13 +49,19 @@ INVOLUTION_REL_TOL = 1e-9
 
 _DETERMINISM_SCALE = 0.05
 
+# Batched criteria simulate chunks of paths holding about this many words,
+# so each per-chunk array stays near 256 kB (c01: 3 paths of 10,001 words)
+# and memory does not grow with the path count.  Measured on 2 CPUs over
+# c01 (2,000 paths), c02, c03 and c08: 2**13 words took 2.2-2.4 s at a
+# 57.0 MB peak, 2**15 1.7-1.9 s at 58.7 MB, 2**17 1.7-1.8 s at 66.4 MB.
+CHUNK_WORDS = 1 << 15
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 0
     alpha: float = 0.001
     scale: float = 1.0
-    workers: int | None = None
 
 
 def _scaled(n: int, scale: float, floor: int) -> int:
@@ -65,6 +70,13 @@ def _scaled(n: int, scale: float, floor: int) -> int:
 
 def _ns(tag: int) -> int:
     return tag << 32
+
+
+def _chunks(n_paths: int, n_words: int):
+    """Consecutive index arrays covering range(n_paths), CHUNK_WORDS words each."""
+    rows = max(1, CHUNK_WORDS // n_words)
+    for start in range(0, n_paths, rows):
+        yield np.arange(start, min(start + rows, n_paths))
 
 
 @dataclass(frozen=True)
@@ -88,39 +100,38 @@ def _couple_batch(
     horizon: float,
     n_steps: int,
     n_paths: int,
-    workers: int | None,
     skip_reflection: bool = False,
 ) -> _CoupleSummary:
     grid = TimeGrid(horizon, n_steps)
     times = grid.times()
-
-    def one(i: int):
-        pair = sample_coupled_pair(
-            grid, theta, substream(seed, namespace | i), skip_reflection=skip_reflection
+    frag = np.empty(n_paths)
+    germ_ok = np.empty(n_paths, dtype=bool)
+    branch_end = np.empty(n_paths)
+    for ids in _chunks(n_paths, n_steps + 1):
+        words = stream_words(seed, namespace | ids, n_steps + 1)
+        stems, branches, start = couple_rows(
+            grid, theta, words, skip_reflection=skip_reflection
         )
-        differs = np.nonzero(pair.stem.values != pair.branch.values)[0]
-        if pair.agreed_to_horizon:
-            frag = math.inf
-            germ_ok = differs.size == 0
-        else:
-            frag = pair.frag_time
-            germ_ok = (
-                differs.size > 0
-                and differs[0] >= 1
-                and pair.frag_time == float(times[differs[0]])
-            )
-        return frag, germ_ok, pair.agreed_to_horizon, float(pair.branch.values[-1])
-
-    rows = map_indexed(one, n_paths, workers)
+        reflected = start <= n_steps
+        frag[ids] = np.where(reflected, times[np.minimum(start, n_steps)], math.inf)
+        # The germ recheck does not trust the reflection start: it scans
+        # for the first bit-exact difference between stem and branch.
+        differs = stems != branches
+        first = differs.argmax(axis=1)
+        any_diff = differs[np.arange(ids.size), first]
+        germ_ok[ids] = np.where(
+            reflected, any_diff & (first >= 1) & (frag[ids] == times[first]), ~any_diff
+        )
+        branch_end[ids] = branches[:, -1]
     return _CoupleSummary(
         theta=theta,
         horizon=horizon,
         dt=grid.dt,
         n_paths=n_paths,
-        frag=np.array([r[0] for r in rows]),
-        germ_ok=np.array([r[1] for r in rows]),
-        kept=np.array([r[2] for r in rows]),
-        branch_end=np.array([r[3] for r in rows]),
+        frag=frag,
+        germ_ok=germ_ok,
+        kept=np.isinf(frag),
+        branch_end=branch_end,
     )
 
 
@@ -145,9 +156,7 @@ def _criterion_1(cfg: VerifyConfig) -> tuple[list[GofReport], _CoupleSummary]:
     theta, horizon = 2.0, 10.0
     n_steps = _scaled(10_000, cfg.scale, 250)
     n_paths = _scaled(20_000, cfg.scale, 400)
-    summary = _couple_batch(
-        cfg.seed, _ns(1), theta, horizon, n_steps, n_paths, cfg.workers
-    )
+    summary = _couple_batch(cfg.seed, _ns(1), theta, horizon, n_steps, n_paths)
     meta = {"theta": theta, "horizon": horizon, "n_steps": n_steps, "seed": cfg.seed}
 
     stat, n_unc = _frag_law_ks(summary)
@@ -172,9 +181,7 @@ def _criterion_2(cfg: VerifyConfig) -> GofReport:
     # is grid-exact, so a coarse grid loses nothing.
     theta, horizon, n_steps = 1.0, 1.0, 16
     n_paths = _scaled(100_000, cfg.scale, 2_000)
-    summary = _couple_batch(
-        cfg.seed, _ns(2), theta, horizon, n_steps, n_paths, cfg.workers
-    )
+    summary = _couple_batch(cfg.seed, _ns(2), theta, horizon, n_steps, n_paths)
     target = branch_probability(theta, horizon)
     freq = float(np.mean(summary.kept))
     return GofReport(
@@ -189,9 +196,7 @@ def _criterion_3(cfg: VerifyConfig) -> list[GofReport]:
     # The branch endpoint has the exact drifted normal law for any grid.
     theta, horizon, n_steps = 2.0, 1.0, 100
     n_paths = _scaled(10_000, cfg.scale, 1_000)
-    summary = _couple_batch(
-        cfg.seed, _ns(3), theta, horizon, n_steps, n_paths, cfg.workers
-    )
+    summary = _couple_batch(cfg.seed, _ns(3), theta, horizon, n_steps, n_paths)
     ends = summary.branch_end
     meta = {"theta": theta, "horizon": horizon, "seed": cfg.seed}
     mean_target, var_target = theta * horizon, horizon
@@ -255,7 +260,7 @@ def _criterion_5(cfg: VerifyConfig) -> list[GofReport]:
                 bad += 1
         return fp.is_nonincreasing(), compared, bad, worst
 
-    rows = map_indexed(one, n_stems, cfg.workers)
+    rows = [one(i) for i in range(n_stems)]
     non_monotone = sum(1 for r in rows if not r[0])
     compared = sum(r[1] for r in rows)
     bad = sum(r[2] for r in rows)
@@ -320,7 +325,7 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         err[~nz] = np.abs(back[~nz])
         return float(np.max(err))
 
-    worst = max(map_indexed(inv_one, n_paths, cfg.workers))
+    worst = max(inv_one(i) for i in range(n_paths))
     inv_rep = GofReport(
         "c07_involution", n=n_paths, statistic=worst,
         threshold=INVOLUTION_REL_TOL, alpha=cfg.alpha,
@@ -367,8 +372,7 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         cell = float(i1.times[j] - i1.times[j - 1])
         return abs(met - expect) <= cell
 
-    oks = map_indexed(pair_one, n_pairs, cfg.workers)
-    bad = sum(1 for ok in oks if not ok)
+    bad = sum(1 for i in range(n_pairs) if not pair_one(i))
     pair_rep = GofReport(
         "c07_meeting_duality", n=n_pairs, statistic=bad / n_pairs, threshold=0.0,
         alpha=cfg.alpha, meta={"t_min": pair_t_min, "seed": cfg.seed},
@@ -393,14 +397,14 @@ def _criterion_8(cfg: VerifyConfig) -> list[GofReport]:
     s_half = float(inv_times[j_half])
     s_one = float(inv_times[j_one])
 
-    def one(i: int):
-        p = sample_bm(grid, DriftedLaw(theta, delta), substream(cfg.seed, _ns(8) | i))
-        inv = invert_time(p, t_min)
-        return float(inv.values[j_one]), float(inv.values[j_half])
-
-    rows = map_indexed(one, n_paths, cfg.workers)
-    at_one = np.array([r[0] for r in rows])
-    at_half = np.array([r[1] for r in rows])
+    law = DriftedLaw(theta, delta)
+    at_one = np.empty(n_paths)
+    at_half = np.empty(n_paths)
+    for ids in _chunks(n_paths, grid.n_steps):
+        words = stream_words(cfg.seed, _ns(8) | ids, grid.n_steps)
+        _, inv = invert_rows(grid.times(), sample_bm_rows(grid, law, words), t_min)
+        at_one[ids] = inv[:, j_one]
+        at_half[ids] = inv[:, j_half]
     thr = ks_threshold(n_paths, cfg.alpha)
     reports = []
     for name, data, s in (
@@ -449,8 +453,7 @@ def _criterion_10(cfg: VerifyConfig) -> GofReport:
     n_steps = _scaled(1_000, cfg.scale, 250)
     n_paths = _scaled(2_000, cfg.scale, 400)
     corrupted = _couple_batch(
-        cfg.seed, _ns(10), 2.0, 10.0, n_steps, n_paths, cfg.workers,
-        skip_reflection=True,
+        cfg.seed, _ns(10), 2.0, 10.0, n_steps, n_paths, skip_reflection=True
     )
     stat, n_unc = _frag_law_ks(corrupted)
     return GofReport(

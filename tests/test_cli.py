@@ -152,6 +152,42 @@ def test_germ_transform_round_trip(tmp_path):
     assert np.array_equal(read_csv(dst).values, [0.0, 1.5, 2.1])
 
 
+def test_germ_transform_overflowing_ratio_keeps_input(tmp_path):
+    # exp(10 * 100 - 50) overflows a double; the keep branch is certain.
+    src = tmp_path / "in.csv"
+    dst = tmp_path / "out.csv"
+    src.write_text("t,value\n0.0,0.0\n0.5,50.0\n1.0,100.0\n")
+    rc = main(["germ-transform", "--in", str(src), "--theta", "10", "--u", "0.5",
+               "--out", str(dst)])
+    assert rc == 0
+    assert _read(dst) == _read(src)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["couple", "--theta", "nan"], "theta"),
+    (["couple", "--theta", "inf"], "theta"),
+    (["frag-process", "--thetas", "1,nan"], "thetas"),
+    (["frag-process", "--thetas", "1,inf"], "thetas"),
+    (["bouquet", "--thetas", "1,nan"], "thetas"),
+])
+def test_non_finite_theta_exits_2_before_output(tmp_path, capsys, argv, field):
+    out = tmp_path / "run"
+    assert main(argv + ["--steps", "8", "--out", str(out)]) == 2
+    assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_germ_transform_rejects_non_finite_theta(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("t,value\n0.0,0.0\n1.0,-0.5\n")
+    dst = tmp_path / "out.csv"
+    rc = main(["germ-transform", "--in", str(src), "--theta", "nan", "--u", "0.5",
+               "--out", str(dst)])
+    assert rc == 2
+    assert "theta must be finite" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_verify_smoke_schema_and_determinism(tmp_path):
     args = ["verify", "--seed", "1", "--scale", "0.02"]
     a, b = tmp_path / "a", tmp_path / "b"

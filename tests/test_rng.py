@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from germsim.rng import RngStream, substream
+from germsim import rng
+from germsim.rng import KEYED_MAX_WORDS, RngStream, stream_words, substream
 from germsim.stats import Ecdf, ks_statistic, std_normal_cdf
 
 
@@ -73,3 +76,22 @@ def test_mixed_draw_kinds_replay_exactly():
 def test_rejects_out_of_range_keys(seed, stream_id):
     with pytest.raises(ValueError):
         RngStream(seed, stream_id)
+
+
+u64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=u64,
+    ids=st.lists(u64, min_size=1, max_size=4),
+    n=st.one_of(st.integers(1, 41), st.integers(KEYED_MAX_WORDS - 6, KEYED_MAX_WORDS + 6)),
+)
+@example(seed=2**64 - 1, ids=[0, 2**64 - 1], n=7)
+@example(seed=0, ids=[2**64 - 1], n=KEYED_MAX_WORDS + 1)
+def test_batched_words_match_c_philox(seed, ids, n):
+    expect = np.stack([np.random.Philox(key=(seed << 64) | i).random_raw(n) for i in ids])
+    assert np.array_equal(stream_words(seed, ids, n), expect)
+    # The numpy Philox itself, also past the crossover where stream_words
+    # switches to one C generator per key.
+    assert np.array_equal(rng._philox_rows(seed, np.array(ids, dtype=np.uint64), n), expect)

@@ -34,6 +34,12 @@ def test_drift_grid_validation():
     assert DriftGrid((0.0, 1.0)).thetas == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_drift_grid_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="thetas must all be finite"):
+        DriftGrid((1.0, bad))
+
+
 def test_zero_drift_entry_is_horizon_censored():
     stem = sample_bm(TimeGrid(1.0, 100), DriftedLaw(0.0, 0.0), substream(31, 0))
     fp = fragmentation_process(stem, DriftGrid((0.0, 1.0)))
