@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -79,21 +80,53 @@ class RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> FsPath:
+    """Create the output directory and drop any manifest of an earlier run,
+    so the directory reads as incomplete until this run commits its own."""
     if cfg.out_dir is None:
         raise ConfigError("out_dir is required")
     out = FsPath(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     return out
 
 
-def _write_manifest(out: FsPath, doc: dict) -> None:
-    (out / "manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path: FsPath, doc) -> None:
+    """Write ``doc`` as sorted, indented JSON through a temporary file and a
+    rename, so ``path`` never holds a partial document."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
-def _frag_cell(frag) -> str:
-    return "inf" if frag is BEYOND_HORIZON else repr(frag)
+def _cell(value) -> str:
+    if value is BEYOND_HORIZON:
+        return "inf"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value)
+
+
+def _write_table(out: FsPath, name: str, fmt: str, columns, rows, csv_columns=None) -> None:
+    """Write ``rows`` as ``name.csv`` or as ``name.json``, a list of objects
+    keyed by ``columns``.
+
+    BEYOND_HORIZON is ``inf`` in CSV and ``null`` in JSON.  CSV cells are
+    ``repr`` numbers and lower-case booleans; ``csv_columns`` names a
+    leading subset of the columns for the CSV header and rows.
+    """
+    if fmt == "json":
+        _write_json(out / f"{name}.json", [
+            {c: None if v is BEYOND_HORIZON else v for c, v in zip(columns, row)}
+            for row in rows
+        ])
+        return
+    header = csv_columns or columns
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row[: len(header)])) for row in rows)
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_FRAG_COLUMNS = ("theta", "tau_frag", "censored")
 
 
 def cmd_sample(cfg: RunConfig) -> FsPath:
@@ -103,7 +136,7 @@ def cmd_sample(cfg: RunConfig) -> FsPath:
     for i in range(cfg.n_paths):
         path = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
         write_csv(path, out / f"path_{i:05d}.csv")
-    _write_manifest(out, cfg.manifest("sample"))
+    _write_json(out / "manifest.json", cfg.manifest("sample"))
     return out
 
 
@@ -117,42 +150,11 @@ def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
         pair = sample_coupled_pair(grid, theta, substream(cfg.seed, i))
         write_csv(pair.stem, out / f"stem_{i:05d}.csv")
         write_csv(pair.branch, out / f"branch_{i:05d}.csv")
-        rows.append((i, pair.frag_time))
-    if cfg.fmt == "csv":
-        lines = ["path_id,frag_time_or_inf"]
-        lines.extend(f"{i},{_frag_cell(f)}" for i, f in rows)
-        (out / "frag_times.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        doc = [
-            {"path_id": i, "frag_time": None if f is BEYOND_HORIZON else f,
-             "censored": f is BEYOND_HORIZON}
-            for i, f in rows
-        ]
-        (out / "frag_times.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    _write_manifest(out, cfg.manifest("couple", {"theta": theta}))
+        rows.append((i, pair.frag_time, pair.agreed_to_horizon))
+    _write_table(out, "frag_times", cfg.fmt, ("path_id", "frag_time", "censored"), rows,
+                 csv_columns=("path_id", "frag_time_or_inf"))
+    _write_json(out / "manifest.json", cfg.manifest("couple", {"theta": theta}))
     return out
-
-
-def _write_frag_table(out: FsPath, stem_id: int, thetas, frags, censored, fmt: str) -> None:
-    if fmt == "csv":
-        lines = ["theta,tau_frag,censored"]
-        lines.extend(
-            f"{th!r},{_frag_cell(f)},{str(c).lower()}"
-            for th, f, c in zip(thetas, frags, censored)
-        )
-        (out / f"frag_process_{stem_id:05d}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-    else:
-        doc = [
-            {"theta": th, "tau_frag": None if f is BEYOND_HORIZON else f, "censored": c}
-            for th, f, c in zip(thetas, frags, censored)
-        ]
-        (out / f"frag_process_{stem_id:05d}.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
 
 
 def cmd_bouquet(cfg: RunConfig) -> FsPath:
@@ -162,9 +164,7 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
     coupled on one source of randomness; fragmentation times are
     non-increasing across the drift grid on every stem.
     """
-    if not cfg.thetas:
-        raise ConfigError("thetas must be a nonempty list for bouquet runs")
-    DriftGrid(cfg.thetas)
+    thetas = DriftGrid(cfg.thetas).thetas
     out = _out_dir(cfg)
     grid = cfg.grid()
     for i in range(cfg.n_paths):
@@ -172,30 +172,28 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
         stem = sample_bm(grid, DriftedLaw(0.0, 0.0), stream)
         u = stream.uniform01()
         write_csv(stem, out / f"stem_{i:05d}.csv")
-        frags, censored = [], []
-        for j, theta in enumerate(cfg.thetas):
+        rows = []
+        for j, theta in enumerate(thetas):
             branch = germ_transform(stem, u, theta)
             write_csv(branch, out / f"branch_{i:05d}_theta{j}.csv")
             f = fragmentation_time(stem, branch)
-            frags.append(f)
-            censored.append(f is BEYOND_HORIZON)
-        _write_frag_table(out, i, cfg.thetas, frags, censored, cfg.fmt)
-    _write_manifest(out, cfg.manifest("bouquet"))
+            rows.append((theta, f, f is BEYOND_HORIZON))
+        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS, rows)
+    _write_json(out / "manifest.json", cfg.manifest("bouquet"))
     return out
 
 
 def cmd_frag_process(cfg: RunConfig) -> FsPath:
     """Fragmentation-time process of fresh stems over the drift grid."""
-    if not cfg.thetas:
-        raise ConfigError("thetas must be a nonempty list for frag-process runs")
     dgrid = DriftGrid(cfg.thetas)
     out = _out_dir(cfg)
     grid = cfg.grid()
     for i in range(cfg.n_paths):
         stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
         fp = fragmentation_process(stem, dgrid)
-        _write_frag_table(out, i, dgrid.thetas, fp.times, fp.censored, cfg.fmt)
-    _write_manifest(out, cfg.manifest("frag-process"))
+        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
+                     zip(dgrid.thetas, fp.times, fp.censored))
+    _write_json(out / "manifest.json", cfg.manifest("frag-process"))
     return out
 
 
@@ -230,27 +228,29 @@ def _parse_thetas(raw: str | None) -> tuple[float, ...]:
         raise ConfigError(f"thetas must be a comma-separated list of numbers, got {raw!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--paths", type=int, default=1, help="number of paths")
-    p.add_argument("--steps", type=int, default=1000, help="grid steps")
-    p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
-    p.add_argument("--alpha", type=float, default=0.001, help="test level")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+def _run_parser(sub, name: str, summary: str, *, grid: bool = True, table: bool = True):
+    """Subcommand taking ``--seed`` and ``--out``, the grid flags ``--paths``,
+    ``--steps`` and ``--horizon`` if ``grid``, and ``--format`` if ``table``.
+    A flag left out takes its :class:`RunConfig` default."""
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--out", dest="out_dir", type=str, help="output directory")
+    if grid:
+        p.add_argument("--paths", dest="n_paths", type=int, help="number of paths (default 1)")
+        p.add_argument("--steps", dest="n_steps", type=int, help="grid steps (default 1000)")
+        p.add_argument("--horizon", type=float, help="time horizon T (default 1)")
+    if table:
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                       help="fragmentation table format (default csv)")
+    return p
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        n_paths=args.paths,
-        n_steps=args.steps,
-        horizon=args.horizon,
-        thetas=_parse_thetas(getattr(args, "thetas", None)),
-        alpha=args.alpha,
-        out_dir=FsPath(args.out) if args.out else None,
-        fmt=args.fmt,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if "thetas" in given:
+        given["thetas"] = _parse_thetas(given["thetas"])
+    given["out_dir"] = FsPath(given["out_dir"]) if given.get("out_dir") else None
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:
@@ -260,22 +260,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample driftless stems to CSV")
-    _add_common(p)
+    _run_parser(sub, "sample", "sample driftless stems to CSV", table=False)
 
-    p = sub.add_parser("couple", help="sample coupled stem/branch pairs")
-    _add_common(p)
+    p = _run_parser(sub, "couple", "sample coupled stem/branch pairs")
     p.add_argument("--theta", type=float, required=True, help="branch drift (>= 0)")
 
-    p = sub.add_parser("bouquet", help="one stem, one branch per drift")
-    _add_common(p)
-    p.add_argument("--thetas", type=str, required=True,
-                   help="comma-separated increasing drifts")
-
-    p = sub.add_parser("frag-process", help="fragmentation times over a drift grid")
-    _add_common(p)
-    p.add_argument("--thetas", type=str, required=True,
-                   help="comma-separated increasing drifts")
+    for name, summary in (("bouquet", "one stem, one branch per drift"),
+                          ("frag-process", "fragmentation times over a drift grid")):
+        p = _run_parser(sub, name, summary)
+        p.add_argument("--thetas", type=str, required=True,
+                       help="comma-separated increasing drifts")
 
     p = sub.add_parser("germ-transform", help="transform one path CSV")
     p.add_argument("--in", dest="source", type=str, required=True)
@@ -283,26 +277,28 @@ def main(argv=None) -> int:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--out", type=str, required=True)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    _add_common(p)
+    p = _run_parser(sub, "verify", "run the verification suite", grid=False, table=False)
+    p.add_argument("--alpha", type=float, help="test level (default 0.001)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="sample-count multiplier (1.0 = full suite)")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "sample":
-            cmd_sample(_config(args))
-        elif args.command == "couple":
-            cmd_couple(_config(args), args.theta)
-        elif args.command == "bouquet":
-            cmd_bouquet(_config(args))
-        elif args.command == "frag-process":
-            cmd_frag_process(_config(args))
-        elif args.command == "germ-transform":
+        if args.command == "germ-transform":
             cmd_germ_transform(args.source, args.theta, args.u, args.out)
+            return 0
+        cfg = _config(args)
+        if args.command == "sample":
+            cmd_sample(cfg)
+        elif args.command == "couple":
+            cmd_couple(cfg, args.theta)
+        elif args.command == "bouquet":
+            cmd_bouquet(cfg)
+        elif args.command == "frag-process":
+            cmd_frag_process(cfg)
         elif args.command == "verify":
-            out = FsPath(args.out) / "verify_report.json" if args.out else None
-            return cmd_verify(_config(args), args.scale, out)
+            out = cfg.out_dir / "verify_report.json" if cfg.out_dir else None
+            return cmd_verify(cfg, args.scale, out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,29 @@ class CoupledPair:
         return self.frag_time is BEYOND_HORIZON
 
 
+def _root(ts, d, *, last: bool = False, tol: float = 0.0) -> float | None:
+    """First (or, with ``last``, latest) time where the sampled ``d`` meets 0.
+
+    A grid point with ``|d| <= tol`` counts as a touch; with ``tol == 0`` a
+    sign change between adjacent grid points is additionally located by
+    linear interpolation inside the cell.  On a tie the touch is kept.
+    ``None`` when ``d`` neither touches nor changes sign.
+    """
+    pick = max if last else min
+    end = -1 if last else 0
+    best = None
+    touches = np.nonzero(np.abs(d) <= tol)[0]
+    if touches.size:
+        best = float(ts[touches[end]])
+    if tol == 0.0:
+        flips = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
+        if flips.size:
+            k = flips[end]
+            root = float(ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1]))
+            best = root if best is None else pick(best, root)
+    return best
+
+
 def last_line_visit(w, theta: float) -> float | None:
     """Latest time in [0, T] where the sampled path touches or crosses the
     line t -> theta * t / 2.
@@ -64,18 +87,7 @@ def last_line_visit(w, theta: float) -> float | None:
     when the path never touches or crosses.
     """
     ts = w.times
-    d = w.values - line_value(theta, ts)
-    best = None
-    zeros = np.nonzero(d == 0.0)[0]
-    if zeros.size:
-        best = float(ts[zeros[-1]])
-    flips = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-    if flips.size:
-        k = flips[-1]
-        root = ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])
-        if best is None or root > best:
-            best = float(root)
-    return best
+    return _root(ts, w.values - line_value(theta, ts), last=True)
 
 
 def reflect_after_last_visit(w: Path, theta: float) -> Path:
@@ -141,8 +153,11 @@ def _keeps(u: float, log_ratio: float) -> bool:
 
 def endpoint_likelihood_ratio(w: Path, theta: float) -> float:
     """Density exp(theta * w(T) - theta^2 * T / 2) of the drifted endpoint
-    law with respect to the driftless one."""
-    return math.exp(_log_likelihood_ratio(float(w.values[-1]), theta, w.horizon))
+    law with respect to the driftless one; ``inf`` where exp overflows."""
+    try:
+        return math.exp(_log_likelihood_ratio(float(w.values[-1]), theta, w.horizon))
+    except OverflowError:
+        return math.inf
 
 
 def germ_transform(w: Path, u: float, theta: float) -> Path:
@@ -256,20 +271,7 @@ def first_meeting(p1, p2, tol: float = 0.0) -> float | None:
     """
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    ts1 = np.asarray(p1.times)
-    ts2 = np.asarray(p2.times)
-    if not np.array_equal(ts1, ts2):
+    ts = np.asarray(p1.times)
+    if not np.array_equal(ts, np.asarray(p2.times)):
         raise ValueError("paths must share a grid")
-    d = np.asarray(p1.values) - np.asarray(p2.values)
-    best = None
-    touches = np.nonzero(np.abs(d) <= tol)[0]
-    if touches.size:
-        best = float(ts1[touches[0]])
-    if tol == 0.0:
-        flips = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-        if flips.size:
-            k = flips[0]
-            root = float(ts1[k] + (ts1[k + 1] - ts1[k]) * d[k] / (d[k] - d[k + 1]))
-            if best is None or root < best:
-                best = root
-    return best
+    return _root(ts, np.asarray(p1.values) - np.asarray(p2.values), tol=tol)

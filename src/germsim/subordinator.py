@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BEYOND_HORIZON, _BeyondHorizon, invert_time, last_line_visit
+from .coupling import BEYOND_HORIZON, _BeyondHorizon, _root, invert_time, last_line_visit
 from .paths import line_value
 from .rng import RngStream
 
@@ -63,21 +63,6 @@ class PassageProcess:
 
     grid: DriftGrid
     times: tuple[float | None, ...]
-
-
-def _first_passage(ts: np.ndarray, vs: np.ndarray, level: float) -> float | None:
-    d = vs - level
-    best = None
-    touches = np.nonzero(d == 0.0)[0]
-    if touches.size:
-        best = float(ts[touches[0]])
-    flips = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-    if flips.size:
-        k = flips[0]
-        root = float(ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1]))
-        if best is None or root < best:
-            best = root
-    return best
 
 
 def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
@@ -131,18 +116,9 @@ def fragmentation_process_dual(
     """
     if t_min is None:
         t_min = stem.grid.dt
-    inverted = invert_time(stem, t_min)
-    times: list[float | _BeyondHorizon] = []
-    censored: list[bool] = []
-    for theta in grid.thetas:
-        passage = _first_passage(inverted.times, inverted.values, 0.5 * theta)
-        if passage is None or passage == 0.0:
-            times.append(BEYOND_HORIZON)
-            censored.append(True)
-        else:
-            times.append(1.0 / passage)
-            censored.append(False)
-    return FragmentationProcess(grid, tuple(times), tuple(censored))
+    passages = first_passage_process(invert_time(stem, t_min), grid).times
+    times = tuple(BEYOND_HORIZON if p is None or p == 0.0 else 1.0 / p for p in passages)
+    return FragmentationProcess(grid, times, tuple(t is BEYOND_HORIZON for t in times))
 
 
 def first_passage_process(w, grid: DriftGrid) -> PassageProcess:
@@ -154,8 +130,7 @@ def first_passage_process(w, grid: DriftGrid) -> PassageProcess:
     """
     ts = np.asarray(w.times)
     vs = np.asarray(w.values)
-    times = tuple(_first_passage(ts, vs, 0.5 * theta) for theta in grid.thetas)
-    return PassageProcess(grid, times)
+    return PassageProcess(grid, tuple(_root(ts, vs - 0.5 * theta) for theta in grid.thetas))
 
 
 def sample_passage_time(level: float, stream: RngStream, size: int | None = None):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from germsim import cli
 from germsim.cli import ConfigError, RunConfig, main
 from germsim.paths import read_csv
 
@@ -52,6 +53,42 @@ def test_sample_invalid_steps_exits_2(tmp_path, capsys):
     rc = main(["sample", "--steps", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "n_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--format", "json"],
+    ["couple", "--theta", "1", "--alpha", "0.01"],
+    ["verify", "--paths", "2"],
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    # A rerun that fails part-way must not leave the earlier run's manifest
+    # beside a mix of old and new path files.
+    out = tmp_path / "run"
+    args = ["couple", "--paths", "3", "--steps", "16", "--out", str(out)]
+    assert main(args + ["--theta", "2"]) == 0
+    write_csv = cli.write_csv
+    calls = []
+
+    def failing_write_csv(path, destination):
+        calls.append(destination)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_csv(path, destination)
+
+    monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+    assert main(args + ["--theta", "1"]) == 2
+    assert not (out / "manifest.json").exists()
+    monkeypatch.undo()
+    assert main(args + ["--theta", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["theta"] == 1.0
+    assert not list(out.glob("*.tmp"))
 
 
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch):

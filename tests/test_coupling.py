@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from germsim.coupling import (
 from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
 from germsim.rng import substream
 from germsim.stats import Ecdf, ks_statistic, ks_threshold, std_normal_cdf
+from germsim.subordinator import DriftGrid, first_passage_process
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, width=64, min_value=-1e6, max_value=1e6
@@ -128,6 +130,10 @@ def test_germ_transform_keep_branch_example():
     w = Path(grid, np.array([0.0, 0.4, 1.0]))
     assert math.isclose(endpoint_likelihood_ratio(w, 1.0), math.exp(0.5))
     assert germ_transform(w, 0.9, 1.0) is w
+    # exp(10 * 100 - 50) overflows a double: the density is inf, never an error.
+    far = Path(grid, np.array([0.0, 50.0, 100.0]))
+    assert endpoint_likelihood_ratio(far, 10.0) == math.inf
+    assert germ_transform(far, 0.5, 10.0) is far
 
 
 def test_germ_transform_reflect_branch_example():
@@ -286,6 +292,60 @@ def test_first_meeting_grid_mismatch():
     p2 = path_of([0.0, 1.0], horizon=2.0)
     with pytest.raises(ValueError, match="grid"):
         first_meeting(p1, p2)
+
+
+# ------------------------------------------------------------ crossing finder
+
+def _scan(ts, d, *, last=False, tol=0.0):
+    """Reference crossing finder: every grid touch and, with tol == 0, the
+    interpolated root of every cell whose ends have opposite signs."""
+    hits = [float(ts[i]) for i in range(len(d)) if abs(d[i]) <= tol]
+    if tol == 0.0:
+        for k in range(len(d) - 1):
+            a, b = float(d[k]), float(d[k + 1])
+            if (a > 0 and b < 0) or (a < 0 and b > 0):
+                t0, t1 = float(ts[k]), float(ts[k + 1])
+                hits.append(t0 + (t1 - t0) * a / (a - b))
+    if not hits:
+        return None
+    return max(hits) if last else min(hits)
+
+
+# Exact zeros, values equal to the levels theta / 2 tested below, and tiny
+# values whose roots round onto a grid point.
+_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-300, -1e-300]), finite_floats
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(_cells, min_size=3, max_size=40),
+    sign=st.sampled_from(("mixed", "positive", "negative")),
+    horizon=st.sampled_from((1.0, 3.0, 10.0)),
+    inverted=st.booleans(),
+    theta=st.sampled_from((0.0, 1.0, 2.0)),
+    tol=st.sampled_from((0.0, 0.05, 0.5)),
+)
+def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, theta, tol):
+    d = np.array(row)
+    if sign == "positive":
+        d = np.abs(d) + 0.25
+    elif sign == "negative":
+        d = -np.abs(d) - 0.25
+    grid = TimeGrid(horizon, d.size - 1)
+    w = Path(grid, d)
+    if inverted:
+        w = invert_time(w, grid.dt)
+    ts, vs = np.asarray(w.times), np.asarray(w.values)
+    assert last_line_visit(w, theta) == _scan(ts, vs - line_value(theta, ts), last=True)
+    other = dataclasses.replace(w, values=np.zeros(vs.size))
+    assert first_meeting(w, other, tol=tol) == _scan(ts, vs, tol=tol)
+    assert first_meeting(w, other, tol=0.0) == _scan(ts, vs)
+    dgrid = DriftGrid((0.0, 1.0, 2.0))
+    assert first_passage_process(w, dgrid).times == tuple(
+        _scan(ts, vs - 0.5 * th) for th in dgrid.thetas
+    )
 
 
 def test_meeting_duality_single_pair():
