@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
@@ -23,9 +21,9 @@ from .coupling import (
     sample_coupled_pair,
     validate_theta,
 )
-from .paths import DriftedLaw, TimeGrid, read_csv, sample_bm, write_csv
-from .rng import substream
-from .stats import reports_to_json
+from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
+from .rng import _check_u64, substream
+from .stats import _check_alpha, reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
 
@@ -46,16 +44,14 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        try:
+            _check_u64("seed", self.seed)
+            self.grid()
+            _check_alpha(self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError(f"horizon must be finite and > 0, got {self.horizon}")
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt}")
 
@@ -79,23 +75,28 @@ class RunConfig:
         return doc
 
 
+# Every file the run commands write, the manifest first.
+_OUTPUTS = ("manifest.json", "path_*.csv", "stem_*.csv", "branch_*.csv",
+            "frag_times.csv", "frag_times.json", "frag_process_*.csv", "frag_process_*.json")
+
+
 def _out_dir(cfg: RunConfig) -> FsPath:
-    """Create the output directory and drop any manifest of an earlier run,
-    so the directory reads as incomplete until this run commits its own."""
+    """Create the output directory and delete every output of an earlier run,
+    its manifest first, so the directory reads as incomplete until this run
+    commits its own manifest and holds no file this run did not write."""
     if cfg.out_dir is None:
         raise ConfigError("out_dir is required")
     out = FsPath(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
+    for pattern in _OUTPUTS:
+        for old in out.glob(pattern):
+            old.unlink()
     return out
 
 
 def _write_json(path: FsPath, doc) -> None:
-    """Write ``doc`` as sorted, indented JSON through a temporary file and a
-    rename, so ``path`` never holds a partial document."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    """Write ``doc`` as sorted, indented JSON."""
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _cell(value) -> str:
@@ -123,7 +124,7 @@ def _write_table(out: FsPath, name: str, fmt: str, columns, rows, csv_columns=No
     header = csv_columns or columns
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row[: len(header)])) for row in rows)
-    (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / f"{name}.csv", "\n".join(lines) + "\n")
 
 
 _FRAG_COLUMNS = ("theta", "tau_frag", "censored")
@@ -211,7 +212,7 @@ def cmd_verify(cfg: RunConfig, scale: float, out_path: FsPath | None) -> int:
     text = reports_to_json(reports)
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
     for line in format_report_lines(reports):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,19 @@ def write_csv(path: Path, destination) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        with open(os.fspath(destination), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(destination, text)
+
+
+def _write_text(destination, text: str) -> None:
+    """Write ``text`` to the file ``destination`` through ``<name>.tmp`` and a
+    rename: a write that fails part-way leaves neither name holding part of
+    ``text``."""
+    tmp = pathlib.Path(f"{os.fspath(destination)}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, destination)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_csv(source) -> Path:

@@ -118,6 +118,11 @@ def ks_statistic(
     return float(np.max(np.abs(ranks - ref)))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def ks_threshold(n: int, alpha: float) -> float:
     """Asymptotic Kolmogorov quantile c(alpha) / sqrt(n).
 
@@ -126,8 +131,7 @@ def ks_threshold(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 

@@ -20,10 +20,11 @@ import numpy as np
 
 from .coupling import couple_rows, first_meeting, invert_rows, invert_time
 from .paths import DriftedLaw, Path, TimeGrid, sample_bm, sample_bm_rows
-from .rng import stream_words, substream
+from .rng import _check_u64, stream_words, substream
 from .stats import (
     Ecdf,
     GofReport,
+    _check_alpha,
     branch_probability,
     fragmentation_cdf,
     ks_statistic,
@@ -62,6 +63,19 @@ class VerifyConfig:
     seed: int = 0
     alpha: float = 0.001
     scale: float = 1.0
+
+    def __post_init__(self):
+        _check_u64("seed", self.seed)
+        _check_alpha(self.alpha)
+        if not self.scale > 0:
+            raise ValueError(f"scale must be > 0, got {self.scale}")
+
+
+def _report(cfg: VerifyConfig, name: str, n: int, statistic: float, threshold: float,
+            **meta) -> GofReport:
+    """One check of the suite, at the run's alpha and with its seed in ``meta``."""
+    return GofReport(name, n=n, statistic=statistic, threshold=threshold,
+                     alpha=cfg.alpha, meta={**meta, "seed": cfg.seed})
 
 
 def _scaled(n: int, scale: float, floor: int) -> int:
@@ -157,23 +171,16 @@ def _criterion_1(cfg: VerifyConfig) -> tuple[list[GofReport], _CoupleSummary]:
     n_steps = _scaled(10_000, cfg.scale, 250)
     n_paths = _scaled(20_000, cfg.scale, 400)
     summary = _couple_batch(cfg.seed, _ns(1), theta, horizon, n_steps, n_paths)
-    meta = {"theta": theta, "horizon": horizon, "n_steps": n_steps, "seed": cfg.seed}
-
+    meta = {"theta": theta, "horizon": horizon, "n_steps": n_steps}
     stat, n_unc = _frag_law_ks(summary)
-    ks_report = GofReport(
-        "c01_frag_time_ks", n=n_unc, statistic=stat, threshold=FRAG_KS_TOL,
-        alpha=cfg.alpha, meta=meta,
-    )
-
     p = 1.0 - fragmentation_cdf(theta, horizon)
     p_hat = float(np.mean(~np.isfinite(summary.frag)))
     sigma = math.sqrt(p * (1.0 - p) / n_paths)
-    cens_report = GofReport(
-        "c01_censored_fraction", n=n_paths, statistic=abs(p_hat - p),
-        threshold=3.0 * sigma, alpha=cfg.alpha,
-        meta={**meta, "expected": p, "observed": p_hat},
-    )
-    return [ks_report, cens_report], summary
+    return [
+        _report(cfg, "c01_frag_time_ks", n_unc, stat, FRAG_KS_TOL, **meta),
+        _report(cfg, "c01_censored_fraction", n_paths, abs(p_hat - p), 3.0 * sigma,
+                **meta, expected=p, observed=p_hat),
+    ], summary
 
 
 def _criterion_2(cfg: VerifyConfig) -> GofReport:
@@ -184,12 +191,9 @@ def _criterion_2(cfg: VerifyConfig) -> GofReport:
     summary = _couple_batch(cfg.seed, _ns(2), theta, horizon, n_steps, n_paths)
     target = branch_probability(theta, horizon)
     freq = float(np.mean(summary.kept))
-    return GofReport(
-        "c02_branch_frequency", n=n_paths, statistic=abs(freq - target),
-        threshold=BRANCH_FREQ_TOL, alpha=cfg.alpha,
-        meta={"theta": theta, "horizon": horizon, "expected": target,
-              "observed": freq, "seed": cfg.seed},
-    )
+    return _report(cfg, "c02_branch_frequency", n_paths, abs(freq - target),
+                   BRANCH_FREQ_TOL, theta=theta, horizon=horizon, expected=target,
+                   observed=freq)
 
 
 def _criterion_3(cfg: VerifyConfig) -> list[GofReport]:
@@ -198,40 +202,31 @@ def _criterion_3(cfg: VerifyConfig) -> list[GofReport]:
     n_paths = _scaled(10_000, cfg.scale, 1_000)
     summary = _couple_batch(cfg.seed, _ns(3), theta, horizon, n_steps, n_paths)
     ends = summary.branch_end
-    meta = {"theta": theta, "horizon": horizon, "seed": cfg.seed}
+    meta = {"theta": theta, "horizon": horizon}
     mean_target, var_target = theta * horizon, horizon
-    mean_rep = GofReport(
-        "c03_endpoint_mean", n=n_paths, statistic=abs(float(np.mean(ends)) - mean_target),
-        threshold=ENDPOINT_MEAN_TOL, alpha=cfg.alpha,
-        meta={**meta, "observed": float(np.mean(ends))},
-    )
-    var_rep = GofReport(
-        "c03_endpoint_var", n=n_paths,
-        statistic=abs(float(np.var(ends, ddof=1)) - var_target),
-        threshold=ENDPOINT_VAR_TOL, alpha=cfg.alpha,
-        meta={**meta, "observed": float(np.var(ends, ddof=1))},
-    )
+    mean, var = float(np.mean(ends)), float(np.var(ends, ddof=1))
     sd = math.sqrt(var_target)
     stat = ks_statistic(
         Ecdf(ends), lambda x: std_normal_cdf((x - mean_target) / sd)
     )
-    ks_rep = GofReport(
-        "c03_endpoint_ks", n=n_paths, statistic=stat,
-        threshold=ks_threshold(n_paths, cfg.alpha), alpha=cfg.alpha, meta=meta,
-    )
-    return [mean_rep, var_rep, ks_rep]
+    return [
+        _report(cfg, "c03_endpoint_mean", n_paths, abs(mean - mean_target),
+                ENDPOINT_MEAN_TOL, **meta, observed=mean),
+        _report(cfg, "c03_endpoint_var", n_paths, abs(var - var_target),
+                ENDPOINT_VAR_TOL, **meta, observed=var),
+        _report(cfg, "c03_endpoint_ks", n_paths, stat, ks_threshold(n_paths, cfg.alpha),
+                **meta),
+    ]
 
 
 def _criterion_4(cfg: VerifyConfig, summary: _CoupleSummary) -> list[GofReport]:
     bad_germ = float(np.mean(~summary.germ_ok))
     uncensored = summary.frag[np.isfinite(summary.frag)]
     bad_pos = float(np.mean(uncensored <= 0.0)) if uncensored.size else 0.0
-    meta = {"theta": summary.theta, "horizon": summary.horizon, "seed": cfg.seed}
+    meta = {"theta": summary.theta, "horizon": summary.horizon}
     return [
-        GofReport("c04_germ_prefix", n=summary.n_paths, statistic=bad_germ,
-                  threshold=0.0, alpha=cfg.alpha, meta=meta),
-        GofReport("c04_positive_frag", n=int(uncensored.size), statistic=bad_pos,
-                  threshold=0.0, alpha=cfg.alpha, meta=meta),
+        _report(cfg, "c04_germ_prefix", summary.n_paths, bad_germ, 0.0, **meta),
+        _report(cfg, "c04_positive_frag", int(uncensored.size), bad_pos, 0.0, **meta),
     ]
 
 
@@ -241,38 +236,26 @@ def _criterion_5(cfg: VerifyConfig) -> list[GofReport]:
     grid = TimeGrid(horizon, n_steps)
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
 
-    def one(i: int):
+    non_monotone = 0
+    diffs = []  # |direct - dual| wherever neither route is censored
+    for i in range(n_stems):
         stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, _ns(5) | i))
         fp = fragmentation_process(stem, dgrid)
         fd = fragmentation_process_dual(stem, dgrid)
-        worst = 0.0
-        compared = 0
-        bad = 0
-        for t_direct, c_direct, t_dual, c_dual in zip(
-            fp.times, fp.censored, fd.times, fd.censored
-        ):
-            if c_direct or c_dual:
-                continue
-            compared += 1
-            diff = abs(t_direct - t_dual)
-            worst = max(worst, diff)
-            if diff > grid.dt:
-                bad += 1
-        return fp.is_nonincreasing(), compared, bad, worst
-
-    rows = [one(i) for i in range(n_stems)]
-    non_monotone = sum(1 for r in rows if not r[0])
-    compared = sum(r[1] for r in rows)
-    bad = sum(r[2] for r in rows)
-    worst = max((r[3] for r in rows), default=0.0)
-    meta = {"horizon": horizon, "n_steps": n_steps, "thetas": list(dgrid.thetas),
-            "seed": cfg.seed}
+        non_monotone += not fp.is_nonincreasing()
+        diffs.extend(
+            abs(t_direct - t_dual)
+            for t_direct, c_direct, t_dual, c_dual in zip(
+                fp.times, fp.censored, fd.times, fd.censored
+            )
+            if not (c_direct or c_dual)
+        )
+    bad = sum(1 for d in diffs if d > grid.dt)
+    meta = {"horizon": horizon, "n_steps": n_steps, "thetas": list(dgrid.thetas)}
     return [
-        GofReport("c05_monotone", n=n_stems, statistic=non_monotone / n_stems,
-                  threshold=0.0, alpha=cfg.alpha, meta=meta),
-        GofReport("c05_dual_agreement", n=compared,
-                  statistic=bad / compared if compared else 0.0, threshold=0.0,
-                  alpha=cfg.alpha, meta={**meta, "worst_diff": worst, "cell": grid.dt}),
+        _report(cfg, "c05_monotone", n_stems, non_monotone / n_stems, 0.0, **meta),
+        _report(cfg, "c05_dual_agreement", len(diffs), bad / len(diffs) if diffs else 0.0,
+                0.0, **meta, worst_diff=max(diffs, default=0.0), cell=grid.dt),
     ]
 
 
@@ -280,11 +263,6 @@ def _criterion_6(cfg: VerifyConfig, summary: _CoupleSummary) -> list[GofReport]:
     n_draws = _scaled(10_000, cfg.scale, 1_000)
     draws = sample_passage_time(1.0, substream(cfg.seed, _ns(6)), size=n_draws)
     stat = ks_statistic(Ecdf(draws), lambda t: levy_cdf(1.0, t), support=(0.0, math.inf))
-    sampler_rep = GofReport(
-        "c06_passage_sampler_ks", n=n_draws, statistic=stat,
-        threshold=PASSAGE_KS_TOL, alpha=cfg.alpha,
-        meta={"level": 1.0, "seed": cfg.seed},
-    )
 
     # Reciprocal fragmentation times against the passage law.  Samples at
     # the resolution floor (the grid reports every sub-cell fragmentation
@@ -298,13 +276,12 @@ def _criterion_6(cfg: VerifyConfig, summary: _CoupleSummary) -> list[GofReport]:
     cross_stat = ks_statistic(
         ecdf, lambda s: levy_cdf(level, s), support=(1.0 / summary.horizon, math.inf)
     )
-    cross_rep = GofReport(
-        "c06_frag_passage_duality_ks", n=int(recip.size), statistic=cross_stat,
-        threshold=FRAG_KS_TOL, alpha=cfg.alpha,
-        meta={"level": level, "resolution_censored": int(uncensored.size - resolved.size),
-              "seed": cfg.seed},
-    )
-    return [sampler_rep, cross_rep]
+    return [
+        _report(cfg, "c06_passage_sampler_ks", n_draws, stat, PASSAGE_KS_TOL, level=1.0),
+        _report(cfg, "c06_frag_passage_duality_ks", int(recip.size), cross_stat,
+                FRAG_KS_TOL, level=level,
+                resolution_censored=int(uncensored.size - resolved.size)),
+    ]
 
 
 def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
@@ -317,20 +294,12 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         once = invert_time(p, t_min)
         twice = invert_time(once, once.times[0])
         orig = p.values[p.times >= t_min]
-        back = twice.values
-        denom = np.abs(orig)
-        err = np.zeros_like(orig)
-        nz = denom > 0
-        err[nz] = np.abs(back[nz] - orig[nz]) / denom[nz]
-        err[~nz] = np.abs(back[~nz])
+        # Relative error, absolute where the original value is zero.
+        err = np.abs(twice.values - orig) / np.where(orig != 0, np.abs(orig), 1.0)
         return float(np.max(err))
 
-    worst = max(inv_one(i) for i in range(n_paths))
-    inv_rep = GofReport(
-        "c07_involution", n=n_paths, statistic=worst,
-        threshold=INVOLUTION_REL_TOL, alpha=cfg.alpha,
-        meta={"t_min": t_min, "seed": cfg.seed},
-    )
+    inv_rep = _report(cfg, "c07_involution", n_paths, max(map(inv_one, range(n_paths))),
+                      INVOLUTION_REL_TOL, t_min=t_min)
 
     # Synthetic piecewise-linear pairs with a known last meeting time m:
     # under inversion the first meeting must land within one inverted-grid
@@ -359,10 +328,8 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
             [h0, 0.0, -0.5 * h0, 0.0, tail_slope * (fine.horizon - m)]
         )
         gap = np.interp(fine_t, knots_t, knots_v)
-        p1 = Path(fine, base)
-        p2 = Path(fine, base + gap)
-        i1 = invert_time(p1, pair_t_min)
-        i2 = invert_time(p2, pair_t_min)
+        i1 = invert_time(Path(fine, base), pair_t_min)
+        i2 = invert_time(Path(fine, base + gap), pair_t_min)
         met = first_meeting(i1, i2, tol=0.0)
         if met is None:
             return False
@@ -373,11 +340,8 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         return abs(met - expect) <= cell
 
     bad = sum(1 for i in range(n_pairs) if not pair_one(i))
-    pair_rep = GofReport(
-        "c07_meeting_duality", n=n_pairs, statistic=bad / n_pairs, threshold=0.0,
-        alpha=cfg.alpha, meta={"t_min": pair_t_min, "seed": cfg.seed},
-    )
-    return [inv_rep, pair_rep]
+    return [inv_rep, _report(cfg, "c07_meeting_duality", n_pairs, bad / n_pairs, 0.0,
+                             t_min=pair_t_min)]
 
 
 def _criterion_8(cfg: VerifyConfig) -> list[GofReport]:
@@ -392,57 +356,39 @@ def _criterion_8(cfg: VerifyConfig) -> list[GofReport]:
     # The inverted grid is a deterministic function of the time grid, so the
     # probe indices can be fixed up front and shared by every path.
     inv_times = (1.0 / grid.times()[grid.times() >= t_min])[::-1]
-    j_half = int(np.argmin(np.abs(inv_times - 0.5)))
-    j_one = int(np.argmin(np.abs(inv_times - 1.0)))
-    s_half = float(inv_times[j_half])
-    s_one = float(inv_times[j_one])
+    names = ("c08_inverted_marginal_s1", "c08_inverted_marginal_s05")
+    probes = [int(np.argmin(np.abs(inv_times - s))) for s in (1.0, 0.5)]
 
     law = DriftedLaw(theta, delta)
-    at_one = np.empty(n_paths)
-    at_half = np.empty(n_paths)
+    at = np.empty((len(probes), n_paths))
     for ids in _chunks(n_paths, grid.n_steps):
         words = stream_words(cfg.seed, _ns(8) | ids, grid.n_steps)
         _, inv = invert_rows(grid.times(), sample_bm_rows(grid, law, words), t_min)
-        at_one[ids] = inv[:, j_one]
-        at_half[ids] = inv[:, j_half]
+        at[:, ids] = inv[:, probes].T
     thr = ks_threshold(n_paths, cfg.alpha)
     reports = []
-    for name, data, s in (
-        ("c08_inverted_marginal_s1", at_one, s_one),
-        ("c08_inverted_marginal_s05", at_half, s_half),
-    ):
+    for name, j, data in zip(names, probes, at):
+        s = float(inv_times[j])
         mean, sd = theta + delta * s, math.sqrt(s)
-        stat = ks_statistic(Ecdf(data), lambda x, m=mean, sd=sd: std_normal_cdf((x - m) / sd))
-        reports.append(
-            GofReport(name, n=n_paths, statistic=stat, threshold=thr, alpha=cfg.alpha,
-                      meta={"s": s, "mean": mean, "var": s, "seed": cfg.seed})
-        )
+        stat = ks_statistic(Ecdf(data), lambda x: std_normal_cdf((x - mean) / sd))
+        reports.append(_report(cfg, name, n_paths, stat, thr, s=s, mean=mean, var=s))
     return reports
 
 
 def _core_reports(cfg: VerifyConfig) -> list[GofReport]:
     """Criteria 1 through 8 (the distributional core of the suite)."""
     reports, summary = _criterion_1(cfg)
-    reports.append(_criterion_2(cfg))
-    reports.extend(_criterion_3(cfg))
-    reports.extend(_criterion_4(cfg, summary))
-    reports.extend(_criterion_5(cfg))
-    reports.extend(_criterion_6(cfg, summary))
-    reports.extend(_criterion_7(cfg))
-    reports.extend(_criterion_8(cfg))
-    return reports
+    return [*reports, _criterion_2(cfg), *_criterion_3(cfg), *_criterion_4(cfg, summary),
+            *_criterion_5(cfg), *_criterion_6(cfg, summary), *_criterion_7(cfg),
+            *_criterion_8(cfg)]
 
 
 def _criterion_9(cfg: VerifyConfig) -> GofReport:
     sub = replace(cfg, scale=min(_DETERMINISM_SCALE, cfg.scale))
     first = reports_to_json(_core_reports(sub))
     second = reports_to_json(_core_reports(sub))
-    identical = first == second
-    return GofReport(
-        "c09_report_determinism", n=2, statistic=0.0 if identical else 1.0,
-        threshold=0.0, alpha=cfg.alpha,
-        meta={"scale": sub.scale, "bytes": len(first), "seed": cfg.seed},
-    )
+    return _report(cfg, "c09_report_determinism", 2, 0.0 if first == second else 1.0,
+                   0.0, scale=sub.scale, bytes=len(first))
 
 
 def _criterion_10(cfg: VerifyConfig) -> GofReport:
@@ -456,23 +402,14 @@ def _criterion_10(cfg: VerifyConfig) -> GofReport:
         cfg.seed, _ns(10), 2.0, 10.0, n_steps, n_paths, skip_reflection=True
     )
     stat, n_unc = _frag_law_ks(corrupted)
-    return GofReport(
-        "c10_negative_control", n=n_paths, statistic=-stat, threshold=-FRAG_KS_TOL,
-        alpha=cfg.alpha,
-        meta={"corrupted_ks": stat, "ks_tolerance": FRAG_KS_TOL,
-              "uncensored": n_unc, "seed": cfg.seed},
-    )
+    return _report(cfg, "c10_negative_control", n_paths, -stat, -FRAG_KS_TOL,
+                   corrupted_ks=stat, ks_tolerance=FRAG_KS_TOL, uncensored=n_unc)
 
 
 def run_verification(cfg: VerifyConfig | None = None) -> list[GofReport]:
     """Run the complete suite and return one report per check, in order."""
     cfg = cfg or VerifyConfig()
-    if cfg.scale <= 0:
-        raise ValueError(f"scale must be > 0, got {cfg.scale}")
-    reports = _core_reports(cfg)
-    reports.append(_criterion_9(cfg))
-    reports.append(_criterion_10(cfg))
-    return reports
+    return [*_core_reports(cfg), _criterion_9(cfg), _criterion_10(cfg)]
 
 
 def format_report_lines(reports: list[GofReport]) -> list[str]:

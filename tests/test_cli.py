@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from germsim import cli
 from germsim.cli import ConfigError, RunConfig, main
-from germsim.paths import read_csv
+from germsim.paths import TimeGrid, read_csv
+from germsim.rng import RngStream
+from germsim.stats import ks_threshold
+from germsim.verify import VerifyConfig
 
 
 def _read(path):
@@ -24,6 +29,34 @@ def test_run_config_validation_names_fields():
         RunConfig(seed=-1)
     with pytest.raises(ConfigError, match="alpha"):
         RunConfig(alpha=2.0)
+
+
+@pytest.mark.parametrize("kwargs,owner", [
+    ({"seed": -1}, lambda: RngStream(-1)),
+    ({"alpha": 2.0}, lambda: ks_threshold(1, 2.0)),
+    ({"n_steps": 0}, lambda: TimeGrid(1.0, 0)),
+    ({"horizon": float("nan")}, lambda: TimeGrid(float("nan"), 4)),
+])
+def test_run_config_raises_the_owner_message(kwargs, owner):
+    # Each rule lives with its owner; RunConfig re-raises the owner's message.
+    with pytest.raises(ValueError) as expected:
+        owner()
+    with pytest.raises(ConfigError) as got:
+        RunConfig(**kwargs)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"alpha": 2.0}, "alpha"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"scale": 0}, "scale"),
+    ({"scale": float("nan")}, "scale"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
+])
+def test_verify_config_validated_at_construction(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        VerifyConfig(**kwargs)
 
 
 def test_sample_writes_paths_and_manifest(tmp_path):
@@ -89,6 +122,66 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     assert main(args + ["--theta", "1"]) == 0
     assert json.loads((out / "manifest.json").read_text())["theta"] == 1.0
     assert not list(out.glob("*.tmp"))
+
+
+def test_rerun_deletes_earlier_outputs(tmp_path):
+    # A successful rerun into the same directory leaves only its own files
+    # (and files germsim never writes) beside its manifest.
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("not a germsim output\n")
+    runs = [
+        (["bouquet", "--paths", "2", "--steps", "8", "--thetas", "0.5,1", "--format", "json"],
+         ["branch_00000_theta0.csv", "branch_00000_theta1.csv", "branch_00001_theta0.csv",
+          "branch_00001_theta1.csv", "frag_process_00000.json", "frag_process_00001.json",
+          "stem_00000.csv", "stem_00001.csv"]),
+        (["couple", "--paths", "3", "--steps", "16", "--theta", "2"],
+         ["branch_00000.csv", "branch_00001.csv", "branch_00002.csv", "frag_times.csv",
+          "stem_00000.csv", "stem_00001.csv", "stem_00002.csv"]),
+        (["couple", "--paths", "1", "--steps", "16", "--theta", "1", "--format", "json"],
+         ["branch_00000.csv", "frag_times.json", "stem_00000.csv"]),
+        (["frag-process", "--paths", "2", "--steps", "8", "--thetas", "1"],
+         ["frag_process_00000.csv", "frag_process_00001.csv"]),
+        (["sample", "--paths", "1", "--steps", "8"], ["path_00000.csv"]),
+    ]
+    for argv, written in runs:
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            written + ["manifest.json", "notes.txt"]
+        )
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["sample", "--paths", "2", "--steps", "8"], "path_00001.csv"),
+    (["couple", "--paths", "2", "--steps", "8", "--theta", "1"], "frag_times.csv"),
+    (["couple", "--paths", "2", "--steps", "8", "--theta", "1", "--format", "json"],
+     "frag_times.json"),
+    (["frag-process", "--steps", "8", "--thetas", "1"], "manifest.json"),
+    (["verify", "--scale", "0.02"], "verify_report.json"),
+    (["germ-transform", "--theta", "2", "--u", "0.9"], "branch.csv"),
+])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, name):
+    out = tmp_path / "run"
+    if argv[0] == "germ-transform":
+        out.mkdir()
+        src = tmp_path / "in.csv"
+        src.write_text("t,value\n0.0,0.0\n0.5,-0.5\n1.0,-0.1\n")
+        argv = argv + ["--in", str(src), "--out", str(out / name)]
+    else:
+        argv = argv + ["--out", str(out)]
+    # Every file the CLI writes goes through Path.write_text on <name>.tmp.
+    write_text = pathlib.Path.write_text
+
+    def fail_midway(self, text, *args, **kwargs):
+        if self.name.startswith(name):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", fail_midway)
+    assert main(argv) == 2
+    assert not (out / name).exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch):
@@ -238,3 +331,79 @@ def test_verify_smoke_schema_and_determinism(tmp_path):
     assert len(doc) == 18
     for entry in doc:
         assert entry["pass"] == (entry["statistic"] <= entry["threshold"])
+
+
+# sha256 of every file small runs write, as the writers produced them
+# before they shared one commit rule (``germ-transform`` reads the sample
+# run's path_00001.csv; u = 0.01 keeps it, u = 0.9 reflects it).
+GOLDEN_RUNS = {
+    "sample": ["sample", "--seed", "3", "--paths", "2", "--steps", "8"],
+    "couple_csv": ["couple", "--seed", "1", "--paths", "2", "--steps", "16",
+                   "--horizon", "4", "--theta", "2"],
+    "couple_json_theta0": ["couple", "--paths", "2", "--steps", "8", "--theta", "0",
+                           "--format", "json"],
+    "bouquet": ["bouquet", "--seed", "4", "--steps", "32", "--horizon", "4",
+                "--thetas", "0,0.5,3"],
+    "frag_process": ["frag-process", "--paths", "2", "--steps", "64", "--horizon", "4",
+                     "--thetas", "0,0.5,2"],
+}
+GOLDEN_SHA256 = {
+    "sample": {
+        "manifest.json": "3d4471154a380b9104ecaa054853e98a806de585d7769b971022031f341d7473",
+        "path_00000.csv": "ac6827c6b3415f686dabc3ccb068432e6340cdfe01363ce163050386792ac0a2",
+        "path_00001.csv": "8d75e72f94b96dc19a02e1d963da099b57b882623108df4fcde1fd4f816970d4",
+    },
+    "couple_csv": {
+        "branch_00000.csv": "6a58bd993c3a138fd2086b7df7348e7f137a4da0fd45e14921b1471387bd88dc",
+        "branch_00001.csv": "ce4cedc6d65af661878d68b3cfab3a0916aab71724a090d756da269d1ae01c63",
+        "frag_times.csv": "9e9c221a9015a9a2d6a212f06bc6cfa4fcc664b082360f1afee8ffe9a85566d7",
+        "manifest.json": "ccecb2918aba632dfbac33973da0f927ef67c95339fc1a79bf7095fae8f4a906",
+        "stem_00000.csv": "286812d75b805afff3651ab22634a7ab138c16b2f315bb46928c5161ef1d1740",
+        "stem_00001.csv": "66004d620df90c34365500b59aa7125b3f5aed02e6677699da5216b48d744de6",
+    },
+    "couple_json_theta0": {
+        "branch_00000.csv": "f514712e345d2c735e95efe67c1634a06e8b45de884362c51edbf6fa83e8d453",
+        "branch_00001.csv": "03612c6148903fd160c9ef19a701f714238763f4bb5158114ed2a37c228ba2cc",
+        "frag_times.json": "6e0bc0c2982dd5517fd5f4c646f8380ef8cb27d3e1bb8885e989be28086d0636",
+        "manifest.json": "26a4e71d0abc194ef6d7b44e347d19a0c22caee89296b4b06c9d224cd78b22fe",
+        "stem_00000.csv": "f514712e345d2c735e95efe67c1634a06e8b45de884362c51edbf6fa83e8d453",
+        "stem_00001.csv": "03612c6148903fd160c9ef19a701f714238763f4bb5158114ed2a37c228ba2cc",
+    },
+    "bouquet": {
+        "branch_00000_theta0.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
+        "branch_00000_theta1.csv": "4036053fba85e36674af9723225b2d66e4044056c89c1b075ccd2d644519fff3",
+        "branch_00000_theta2.csv": "056bb1c5a391881f849014defdb6bd292a2b4ee6245a4715a3b38af7c1eb5d80",
+        "frag_process_00000.csv": "57c3a1be19aa84bfac806ca2ce5934e4e3047f7e9a6305227cc4c0a2a93acb12",
+        "manifest.json": "908d79c052358c4dcc4086109ed10792730aa30e802b438f1f32965646803305",
+        "stem_00000.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
+    },
+    "frag_process": {
+        "frag_process_00000.csv": "d7de7d2133dc6938ab44470486776a57f52930efc26cdb7503ff6159adf85c57",
+        "frag_process_00001.csv": "aa1f6e72237297ec8284519acbe4464ca60adbd388e2027564c6d1fa429e5b3e",
+        "manifest.json": "e0236583b3d0220248e8ed61d4f7ca5319420cbf8c126e5d92e69dc7bc409452",
+    },
+    "germ_transform": {
+        "keep.csv": "8d75e72f94b96dc19a02e1d963da099b57b882623108df4fcde1fd4f816970d4",
+        "reflect.csv": "f8deb58b65657680a095ef55bc7ea527ed0e5b8e95f4c354775b8f7c91244715",
+    },
+}
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def test_cli_output_bytes_unchanged(tmp_path):
+    got = {}
+    for run, argv in GOLDEN_RUNS.items():
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+        got[run] = _digests(tmp_path / run)
+    src = tmp_path / "sample" / "path_00001.csv"
+    gt = tmp_path / "germ_transform"
+    gt.mkdir()
+    for name, theta, u in (("keep.csv", "0.5", "0.01"), ("reflect.csv", "2", "0.9")):
+        assert main(["germ-transform", "--in", str(src), "--theta", theta, "--u", u,
+                     "--out", str(gt / name)]) == 0
+    got["germ_transform"] = _digests(gt)
+    assert got == GOLDEN_SHA256
