@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import (
-    BEYOND_HORIZON,
-    fragmentation_time,
-    germ_transform,
-    sample_coupled_pair,
-    validate_theta,
-)
+from .coupling import BEYOND_HORIZON, germ_transform, sample_coupled_pair, validate_theta
 from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
 from .rng import _check_u64, substream
 from .stats import _check_alpha, reports_to_json
@@ -161,7 +155,8 @@ def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
 def cmd_bouquet(cfg: RunConfig) -> FsPath:
     """One stem per path id, one branch per drift from the same stem.
 
-    All branches of a stem share its uniform draw, so the whole family is
+    Every branch replays the stream of its path id, so all branches of a
+    stem share the stem and its uniform draw, and the whole family is
     coupled on one source of randomness; fragmentation times are
     non-increasing across the drift grid on every stem.
     """
@@ -169,17 +164,12 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
     out = _out_dir(cfg)
     grid = cfg.grid()
     for i in range(cfg.n_paths):
-        stream = substream(cfg.seed, i)
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), stream)
-        u = stream.uniform01()
-        write_csv(stem, out / f"stem_{i:05d}.csv")
-        rows = []
-        for j, theta in enumerate(thetas):
-            branch = germ_transform(stem, u, theta)
-            write_csv(branch, out / f"branch_{i:05d}_theta{j}.csv")
-            f = fragmentation_time(stem, branch)
-            rows.append((theta, f, f is BEYOND_HORIZON))
-        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS, rows)
+        pairs = [sample_coupled_pair(grid, theta, substream(cfg.seed, i)) for theta in thetas]
+        write_csv(pairs[0].stem, out / f"stem_{i:05d}.csv")
+        for j, pair in enumerate(pairs):
+            write_csv(pair.branch, out / f"branch_{i:05d}_theta{j}.csv")
+        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
+                     [(p.theta, p.frag_time, p.agreed_to_horizon) for p in pairs])
     _write_json(out / "manifest.json", cfg.manifest("bouquet"))
     return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm, sample_bm_rows
+from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm_rows
 from .rng import RngStream, uniform01_from_words
 
 
@@ -96,33 +96,36 @@ def reflect_after_last_visit(w: Path, theta: float) -> Path:
     For theta >= 0 this is a single backward sweep: every trailing grid
     point strictly below the line is replaced by theta * t - w(t), and the
     sweep stops at the last grid point at or above the line; everything
-    before it is copied bit-exactly.  Negative theta is defined through the
-    exact symmetry ``reflect(w, theta) == -reflect(-w, -theta)``.
+    before it is copied bit-exactly.  Returns ``w`` itself when nothing is
+    mirrored.  Negative theta is defined through the exact symmetry
+    ``reflect(w, theta) == -reflect(-w, -theta)``.
     """
     if theta < 0:
         flipped = Path(w.grid, -w.values)
         return Path(w.grid, -reflect_after_last_visit(flipped, -theta).values)
-    ts = w.times
-    d = w.values - line_value(theta, ts)
-    at_or_above = np.nonzero(d >= 0.0)[0]
-    stop = int(at_or_above[-1]) if at_or_above.size else -1
-    if stop == w.grid.n_steps:
+    validate_theta(theta)
+    ts, row = w.times, w.values[None]
+    start = _reflection_start(ts, row, theta)
+    if start[0] > w.grid.n_steps:
         return w
-    out = w.values.copy()
-    out[stop + 1 :] = theta * ts[stop + 1 :] - w.values[stop + 1 :]
-    return Path(w.grid, out)
+    return Path(w.grid, _mirror(ts, row, theta, start)[0])
 
 
 def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.ndarray:
-    """Per row, the first index :func:`reflect_after_last_visit` mirrors.
+    """Per row, the first index the reflection after the last visit mirrors.
 
-    That is one past the last grid point at or above the line, found by
-    ``argmax`` on the reversed row: ``n_steps + 1`` when the row ends at or
-    above the line, 0 when no point is.
+    That is one past the last grid point at or above the line theta * t / 2,
+    found by ``argmax`` on the reversed row: ``n_steps + 1`` when the row
+    ends at or above the line, 0 when no point is.
     """
     at_or_above = rows - line_value(theta, times) >= 0.0
     last = times.size - 1 - at_or_above[:, ::-1].argmax(axis=1)
     return np.where(at_or_above[np.arange(rows.shape[0]), last], last + 1, 0)
+
+
+def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray) -> np.ndarray:
+    """``rows`` with theta * t - w(t) in place of w(t) from each row's ``start`` on."""
+    return np.where(np.arange(times.size) >= start[:, None], theta * times - rows, rows)
 
 
 def validate_theta(theta: float) -> None:
@@ -185,41 +188,43 @@ def fragmentation_time(p1: Path, p2: Path) -> float | _BeyondHorizon:
     """
     if p1.grid != p2.grid:
         raise ValueError("paths must share a grid")
-    differs = np.nonzero(p1.values != p2.values)[0]
-    if differs.size == 0:
-        return BEYOND_HORIZON
-    return float(p1.times[differs[0]])
+    first = int(_first_difference(p1.values[None], p2.values[None])[0])
+    return BEYOND_HORIZON if first > p1.grid.n_steps else float(p1.times[first])
 
 
-def sample_coupled_pair(
-    grid, theta: float, stream: RngStream, *, skip_reflection: bool = False
-) -> CoupledPair:
-    """Draw one stem and couple it: branch = germ_transform(stem, u, theta).
+def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the first index where ``a`` and ``b`` differ bit-exactly;
+    the row length where they agree."""
+    differs = a != b
+    first = differs.argmax(axis=1)
+    return np.where(differs[np.arange(a.shape[0]), first], first, a.shape[1])
+
+
+def sample_coupled_pair(grid, theta: float, stream: RngStream) -> CoupledPair:
+    """One pair of :func:`couple_rows`, drawn from ``stream``:
+    branch = germ_transform(stem, u, theta).
 
     Consumes ``n_steps`` words for the stem increments and then one word
-    for the uniform, in that order, so replay of a stream is exact.
-
-    ``skip_reflection`` is a verification hook for negative controls: the
-    reflection branch is suppressed and the stem is returned unchanged,
-    which deliberately breaks the coupled law.
+    for the uniform, in that order, so replay of a stream is exact.  The
+    branch is the stem itself when nothing is reflected.
     """
-    stem = sample_bm(grid, DriftedLaw(0.0, 0.0), stream)
-    u = stream.uniform01()
-    if skip_reflection:
-        branch = stem
-    else:
-        branch = germ_transform(stem, u, theta)
+    stems, branches, start = couple_rows(grid, theta, stream._words(grid.n_steps + 1)[None])
+    stem = Path(grid, stems[0])
+    branch = stem if start[0] > grid.n_steps else Path(grid, branches[0])
     return CoupledPair(stem, branch, theta, fragmentation_time(stem, branch))
 
 
 def couple_rows(grid, theta: float, words: np.ndarray, *, skip_reflection: bool = False):
-    """:func:`sample_coupled_pair` for many streams, one pair per row.
+    """Coupled pairs, one per row: a driftless stem and its germ transform.
 
     ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
     increments, then the uniform.  Returns the stems, the branches and the
     first reflected index of each branch (``n_steps + 1`` when it was kept
-    or nothing was reflected).  Row r equals the pair drawn from the
-    stream whose words fill row r, bit for bit.
+    or nothing was reflected).
+
+    ``skip_reflection`` is a verification hook for negative controls: the
+    reflection branch is suppressed and every branch is its stem, which
+    deliberately breaks the coupled law.
     """
     validate_theta(theta)
     n = grid.n_steps
@@ -231,8 +236,7 @@ def couple_rows(grid, theta: float, words: np.ndarray, *, skip_reflection: bool 
     u = uniform01_from_words(words[:, n])
     log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
     start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
-    branches = np.where(np.arange(n + 1) >= start[:, None], theta * times - stems, stems)
-    return stems, branches, start
+    return stems, _mirror(times, stems, theta, start), start
 
 
 def invert_time(w, t_min: float) -> IrregularPath:
@@ -269,7 +273,7 @@ def first_meeting(p1, p2, tol: float = 0.0) -> float | None:
     points is additionally resolved to the interpolated crossing inside
     the cell.  ``None`` when they never meet on the grid.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     ts = np.asarray(p1.times)
     if not np.array_equal(ts, np.asarray(p2.times)):

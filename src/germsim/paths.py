@@ -115,28 +115,20 @@ def line_value(theta: float, t):
 
 
 def sample_bm(grid: TimeGrid, law: DriftedLaw, stream: RngStream) -> Path:
-    """Sample a drifted Brownian path on the grid.
+    """One path of :func:`sample_bm_rows`, drawn from ``stream``.
 
-    w(0) equals ``law.start`` exactly and the increments are independent
-    N(drift * dt, dt).  Consumes exactly ``n_steps`` words of the stream.
+    Consumes exactly ``n_steps`` words of the stream.
     """
-    dt = grid.dt
-    z = stream.standard_normal(grid.n_steps)
-    increments = law.drift * dt + math.sqrt(dt) * z
-    vals = np.empty(grid.n_steps + 1)
-    vals[0] = law.start
-    np.cumsum(increments, out=vals[1:])
-    vals[1:] += law.start
-    return Path(grid, vals)
+    return Path(grid, sample_bm_rows(grid, law, stream._words(grid.n_steps)[None])[0])
 
 
 def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.ndarray:
-    """Values of :func:`sample_bm` for many streams, one path per row.
+    """Drifted Brownian paths on the grid, one per row of ``words``.
 
     Each row of ``words`` holds at least ``n_steps`` words of one stream
     (see :func:`~germsim.rng.stream_words`), and the first ``n_steps`` make
-    the increments.  Row r is bit-identical to the values ``sample_bm``
-    draws from that stream.
+    the increments.  w(0) equals ``law.start`` exactly and the increments
+    are independent N(drift * dt, dt).
     """
     dt = grid.dt
     z = normal_from_words(words[:, : grid.n_steps])

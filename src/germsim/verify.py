@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import couple_rows, first_meeting, invert_rows, invert_time
+from .coupling import _first_difference, couple_rows, first_meeting, invert_rows, invert_time
 from .paths import DriftedLaw, Path, TimeGrid, sample_bm, sample_bm_rows
 from .rng import _check_u64, stream_words, substream
 from .stats import (
@@ -67,8 +67,8 @@ class VerifyConfig:
     def __post_init__(self):
         _check_u64("seed", self.seed)
         _check_alpha(self.alpha)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
 
 def _report(cfg: VerifyConfig, name: str, n: int, statistic: float, threshold: float,
@@ -117,7 +117,8 @@ def _couple_batch(
     skip_reflection: bool = False,
 ) -> _CoupleSummary:
     grid = TimeGrid(horizon, n_steps)
-    times = grid.times()
+    # Time of each index, inf at n_steps + 1: "no such index".
+    times = np.append(grid.times(), math.inf)
     frag = np.empty(n_paths)
     germ_ok = np.empty(n_paths, dtype=bool)
     branch_end = np.empty(n_paths)
@@ -126,16 +127,11 @@ def _couple_batch(
         stems, branches, start = couple_rows(
             grid, theta, words, skip_reflection=skip_reflection
         )
-        reflected = start <= n_steps
-        frag[ids] = np.where(reflected, times[np.minimum(start, n_steps)], math.inf)
+        frag[ids] = times[start]
         # The germ recheck does not trust the reflection start: it scans
         # for the first bit-exact difference between stem and branch.
-        differs = stems != branches
-        first = differs.argmax(axis=1)
-        any_diff = differs[np.arange(ids.size), first]
-        germ_ok[ids] = np.where(
-            reflected, any_diff & (first >= 1) & (frag[ids] == times[first]), ~any_diff
-        )
+        first = _first_difference(stems, branches)
+        germ_ok[ids] = (first >= 1) & (frag[ids] == times[first])
         branch_end[ids] = branches[:, -1]
     return _CoupleSummary(
         theta=theta,

@@ -1,51 +1,27 @@
-"""The chunked, key-vectorized core against the per-path reference.
+"""The chunked, key-vectorized core against an independent per-path reference.
 
-The verification suite simulates its coupled batches row-wise
-(``verify._couple_batch``); every summary it derives must equal, bit for
-bit, what ``sample_coupled_pair`` gives one stream at a time.
+The coupling is implemented once, row-wise (``coupling.couple_rows``), and
+the verification suite simulates its coupled batches in chunks of rows
+(``verify._couple_batch``).  Every summary it derives must equal, bit for
+bit, what the plain-loop model in ``reference.py`` gives one stream at a
+time.
 """
 
 import hashlib
-import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import couple_summary
 
 from germsim import verify
-from germsim.coupling import sample_coupled_pair
-from germsim.paths import TimeGrid
-from germsim.rng import KEYED_MAX_WORDS, substream
+from germsim.rng import KEYED_MAX_WORDS
 from germsim.stats import reports_to_json
 from germsim.verify import VerifyConfig, run_verification
 
 # sha256 of the seed-0, scale-0.05 report, as the per-path core wrote it.
 SEED0_SCALE005_SHA256 = "8c14917d3a6769ee61491ae7d88ec7c8c649908183d0405bfadb61845607ac6d"
-
-
-def _per_path_summary(seed, namespace, theta, horizon, n_steps, n_paths, skip_reflection):
-    grid = TimeGrid(horizon, n_steps)
-    times = grid.times()
-    frag, germ_ok, kept, branch_end = [], [], [], []
-    for i in range(n_paths):
-        pair = sample_coupled_pair(
-            grid, theta, substream(seed, namespace | i), skip_reflection=skip_reflection
-        )
-        differs = np.nonzero(pair.stem.values != pair.branch.values)[0]
-        if pair.agreed_to_horizon:
-            frag.append(math.inf)
-            germ_ok.append(differs.size == 0)
-        else:
-            frag.append(pair.frag_time)
-            germ_ok.append(
-                differs.size > 0
-                and differs[0] >= 1
-                and pair.frag_time == float(times[differs[0]])
-            )
-        kept.append(pair.agreed_to_horizon)
-        branch_end.append(float(pair.branch.values[-1]))
-    return np.array(frag), np.array(germ_ok), np.array(kept), np.array(branch_end)
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,6 +34,10 @@ def _per_path_summary(seed, namespace, theta, horizon, n_steps, n_paths, skip_re
     n_paths=st.integers(1, 11),
     skip_reflection=st.booleans(),
 )
+# An exact tie of the keep rule: here u == exp(theta * w(T) - theta^2 * T / 2)
+# bit for bit, so only "u <= exp" (not "u < exp") keeps the pair.
+@example(seed=0, theta=1.6826591390706058, horizon=1.0, n_steps=4, rows_per_chunk=1,
+         n_paths=1, skip_reflection=False)
 def test_chunked_core_matches_per_path(
     seed, theta, horizon, n_steps, rows_per_chunk, n_paths, skip_reflection
 ):
@@ -67,9 +47,9 @@ def test_chunked_core_matches_per_path(
             seed, verify._ns(1), theta, horizon, n_steps, n_paths,
             skip_reflection=skip_reflection,
         )
-    frag, germ_ok, kept, branch_end = _per_path_summary(
+    frag, germ_ok, kept, branch_end = map(np.array, couple_summary(
         seed, verify._ns(1), theta, horizon, n_steps, n_paths, skip_reflection
-    )
+    ))
     assert got.frag.tobytes() == frag.tobytes()
     assert np.array_equal(got.germ_ok, germ_ok)
     assert np.array_equal(got.kept, kept)

@@ -53,6 +53,7 @@ def test_run_config_raises_the_owner_message(kwargs, owner):
     ({"scale": float("nan")}, "scale"),
     ({"seed": -1}, "seed"),
     ({"seed": 2**64}, "seed"),
+    ({"scale": float("inf")}, "scale"),
 ])
 def test_verify_config_validated_at_construction(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -316,6 +317,11 @@ def test_germ_transform_rejects_non_finite_theta(tmp_path, capsys):
     assert rc == 2
     assert "theta must be finite" in capsys.readouterr().err
     assert not dst.exists()
+
+
+def test_verify_rejects_infinite_scale(capsys):
+    assert main(["verify", "--scale", "inf"]) == 2
+    assert "scale must" in capsys.readouterr().err
 
 
 def test_verify_smoke_schema_and_determinism(tmp_path):

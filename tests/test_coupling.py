@@ -89,6 +89,13 @@ def test_reflect_negative_theta_symmetry(values, theta):
     assert np.array_equal(lhs.values, -rhs.values)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_reflect_rejects_non_finite_theta(theta):
+    w = path_of([0.0, -0.5, -0.1], horizon=1.0)
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        reflect_after_last_visit(w, theta)
+
+
 def test_reflection_identity_mirror_images():
     # On reflected indices branch + stem equals theta * t up to rounding.
     grid = TimeGrid(5.0, 2_000)
@@ -225,6 +232,28 @@ def test_sampled_pair_prefix_agreement():
             assert pair.frag_time == grid.times()[j]
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_steps=st.integers(1, 200),
+    horizon=st.floats(0.05, 20.0),
+    thetas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+                    min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_bouquet_replay_shares_stem_and_frag_is_monotone(seed, n_steps, horizon, thetas):
+    # Pairs replaying one stream over an increasing drift grid, as
+    # `germsim bouquet` builds them.
+    grid = TimeGrid(horizon, n_steps)
+    pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
+    frags = [math.inf if p.agreed_to_horizon else p.frag_time for p in pairs]
+    times = grid.times()
+    for pair, frag in zip(pairs, frags):
+        assert pair.stem.values.tobytes() == pairs[0].stem.values.tobytes()
+        before = times < frag
+        assert pair.branch.values[before].tobytes() == pair.stem.values[before].tobytes()
+    assert all(b <= a for a, b in zip(frags, frags[1:]))
+
+
 # -------------------------------------------------------------- time inversion
 
 def test_invert_constant_path_becomes_line():
@@ -285,6 +314,12 @@ def test_first_meeting_none_when_separated():
     p1 = path_of([1.0, 2.0], horizon=1.0)
     p2 = path_of([0.0, 0.5], horizon=1.0)
     assert first_meeting(p1, p2, tol=0.0) is None
+
+
+def test_first_meeting_rejects_nan_tol():
+    w = path_of([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^tol must be >= 0"):
+        first_meeting(w, w, tol=math.nan)
 
 
 def test_first_meeting_grid_mismatch():
