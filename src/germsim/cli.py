@@ -189,9 +189,20 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
 
 
 def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
-    """Read a path CSV, apply the transform, write the result."""
-    path = read_csv(source)
-    write_csv(germ_transform(path, u, theta), destination)
+    """Read a path CSV, apply the transform, write the result.
+
+    A file that cannot be read or written is reported under its flag,
+    ``in`` or ``out``, and the path given there.
+    """
+    try:
+        path = read_csv(source)
+    except OSError as exc:
+        raise ConfigError(f"in: cannot read {source!r}: {exc.strerror or exc}") from None
+    branch = germ_transform(path, u, theta)
+    try:
+        write_csv(branch, destination)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {destination!r}: {exc.strerror or exc}") from None
 
 
 def cmd_verify(cfg: RunConfig, scale: float, out_path: FsPath | None) -> int:

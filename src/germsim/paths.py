@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pathlib
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -140,13 +142,20 @@ def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.nda
     return vals
 
 
+@functools.lru_cache(maxsize=1)
+def _csv_template(grid: TimeGrid) -> str:
+    """The text of :func:`write_csv` for ``grid``: the header, then one
+    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value.
+    Every file of a run shares its grid, so the time column is formatted
+    once per grid, not once per file."""
+    times = grid.times().tolist()
+    return "t,value\n" + ("%r,%%r\n" * len(times)) % tuple(times)
+
+
 def write_csv(path: Path, destination) -> None:
-    """Write ``t,value`` rows at full round-trip precision."""
-    ts = path.times
-    vs = path.values
-    lines = ["t,value"]
-    lines.extend(f"{t!r},{v!r}" for t, v in zip(ts.tolist(), vs.tolist()))
-    text = "\n".join(lines) + "\n"
+    """Write ``t,value`` rows at full round-trip precision: each cell is the
+    ``repr`` of a Python float, and the times are ``path.grid.times()``."""
+    text = _csv_template(path.grid) % tuple(path.values.tolist())
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -169,42 +178,72 @@ def read_csv(source) -> Path:
     """Parse a path CSV written by :func:`write_csv`.
 
     Round-trip identity holds bit-exactly: ``read_csv(write_csv(p)) == p``.
+    Blank lines are skipped.  Every time must lie within
+    ``1e-9 * max(1, T)`` of the uniform grid on [0, T], T the last time.
     Errors cite the 1-based line number of the offending row.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        lines = source.read().splitlines()
     else:
         with open(os.fspath(source), "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
+            lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "t,value":
         raise CsvFormatError("line 1: expected header 't,value'")
-    ts: list[float] = []
-    vs: list[float] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw.strip() == "":
-            continue
+    body = list(filter(str.strip, islice(lines, 1, None)))
+    # Check and convert all rows at once, with no Python step per row; only
+    # a text holding a row that is not two finite numbers is scanned row by
+    # row, to find the line the error cites.
+    try:
+        if set(map(str.count, body, repeat(","))) - {1}:
+            raise ValueError
+        cells = np.fromiter(
+            map(float, chain.from_iterable(map(str.split, body, repeat(",")))),
+            dtype=np.float64, count=2 * len(body),
+        )
+        if not np.isfinite(cells).all():
+            raise ValueError
+    except ValueError:
+        raise _row_error(lines) from None
+    ts, vs = cells[0::2], np.ascontiguousarray(cells[1::2])
+    if ts.size < 2:
+        raise CsvFormatError("need at least 2 grid rows (n_steps >= 1)")
+    if ts[0] != 0.0:
+        raise CsvFormatError(
+            f"line {_line_of_row(lines, 0)}: grid must start at t=0, got {float(ts[0])!r}"
+        )
+    grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
+    tol = 1e-9 * max(1.0, grid.horizon)
+    off = np.flatnonzero(np.abs(ts - grid.times()) > tol)
+    if off.size:
+        raise CsvFormatError(
+            f"line {_line_of_row(lines, off[0])}: time {float(ts[off[0]])!r} "
+            "deviates from the uniform grid"
+        )
+    return Path(grid, vs)
+
+
+def _rows(lines):
+    """(1-based line number, text) of each non-blank line after the header."""
+    return ((n, raw) for n, raw in enumerate(islice(lines, 1, None), start=2) if raw.strip())
+
+
+def _line_of_row(lines, row: int) -> int:
+    """Line number of data row ``row`` (0-based, blank lines not counted)."""
+    return next(islice(_rows(lines), row, None))[0]
+
+
+def _row_error(lines) -> CsvFormatError:
+    """The error of the first row that does not hold two finite numbers;
+    called only once :func:`read_csv` has found that such a row exists."""
+    for lineno, raw in _rows(lines):
         parts = raw.split(",")
         if len(parts) != 2:
-            raise CsvFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+            return CsvFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
         row = []
         for cell in parts:
             try:
                 row.append(float(cell))
             except ValueError:
-                raise CsvFormatError(f"line {lineno}: non-numeric cell {cell.strip()!r}") from None
+                return CsvFormatError(f"line {lineno}: non-numeric cell {cell.strip()!r}")
         if not all(math.isfinite(x) for x in row):
-            raise CsvFormatError(f"line {lineno}: non-finite cell")
-        ts.append(row[0])
-        vs.append(row[1])
-    if len(ts) < 2:
-        raise CsvFormatError("need at least 2 grid rows (n_steps >= 1)")
-    if ts[0] != 0.0:
-        raise CsvFormatError(f"line 2: grid must start at t=0, got {ts[0]!r}")
-    grid = TimeGrid(horizon=ts[-1], n_steps=len(ts) - 1)
-    expected = grid.times()
-    tol = 1e-9 * max(1.0, grid.horizon)
-    for i, (got, want) in enumerate(zip(ts, expected.tolist())):
-        if abs(got - want) > tol:
-            raise CsvFormatError(f"line {i + 2}: time {got!r} deviates from the uniform grid")
-    return Path(grid, np.array(vs))
+            return CsvFormatError(f"line {lineno}: non-finite cell")

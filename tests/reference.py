@@ -9,11 +9,18 @@ last grid visit to the line theta * t / 2, the keep rule
 index where stem and branch differ.  It shares only the word stream
 (``RngStream``) and the grid times (``TimeGrid.times``) with germsim, so
 the tests compare two implementations, not one with itself.
+
+It also holds the path CSV format as one loop step per row: a writer of
+``repr`` cells and a reader that parses, checks and cites each line in
+turn.  germsim's ``write_csv`` and ``read_csv`` handle the whole text at
+once and must agree with them byte for byte and message for message.
 """
 
 import math
 
-from germsim.paths import TimeGrid
+import numpy as np
+
+from germsim.paths import CsvFormatError, Path, TimeGrid
 from germsim.rng import RngStream
 
 
@@ -62,3 +69,46 @@ def couple_summary(seed, namespace, theta, horizon, n_steps, n_paths, skip_refle
         kept.append(k is None)
         branch_end.append(branch[-1])
     return frag, germ_ok, kept, branch_end
+
+
+def csv_text(grid, values):
+    """The path CSV of ``values`` on ``grid``: a ``t,value`` header, then
+    one ``repr`` row per grid time."""
+    text = "t,value\n"
+    for t, v in zip(grid.times().tolist(), values):
+        text += f"{t!r},{v!r}\n"
+    return text
+
+
+def read_csv_text(text):
+    """The ``Path`` a path CSV holds, reading one line at a time.  Blank
+    lines are skipped; an error names the first offending line."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "t,value":
+        raise CsvFormatError("line 1: expected header 't,value'")
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw.strip() == "":
+            continue
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise CsvFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        row = []
+        for cell in parts:
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise CsvFormatError(f"line {lineno}: non-numeric cell {cell.strip()!r}") from None
+        if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+            raise CsvFormatError(f"line {lineno}: non-finite cell")
+        rows.append((lineno, row[0], row[1]))
+    if len(rows) < 2:
+        raise CsvFormatError("need at least 2 grid rows (n_steps >= 1)")
+    if rows[0][1] != 0.0:
+        raise CsvFormatError(f"line {rows[0][0]}: grid must start at t=0, got {rows[0][1]!r}")
+    grid = TimeGrid(horizon=rows[-1][1], n_steps=len(rows) - 1)
+    tol = 1e-9 * max(1.0, grid.horizon)
+    for (lineno, t, _), want in zip(rows, grid.times().tolist()):
+        if abs(t - want) > tol:
+            raise CsvFormatError(f"line {lineno}: time {t!r} deviates from the uniform grid")
+    return Path(grid, np.array([v for _, _, v in rows]))

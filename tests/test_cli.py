@@ -319,6 +319,23 @@ def test_germ_transform_rejects_non_finite_theta(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("flag", ["in", "out"])
+def test_germ_transform_missing_file_names_its_flag(tmp_path, capsys, flag):
+    src = tmp_path / "in.csv"
+    src.write_text("t,value\n0.0,0.0\n1.0,-0.5\n")
+    paths = {"in": src, "out": tmp_path / "out.csv"}
+    paths[flag] = tmp_path / "nodir" / f"{flag}.csv"
+    rc = main(["germ-transform", "--in", str(paths["in"]), "--theta", "1", "--u", "0.5",
+               "--out", str(paths["out"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert repr(str(paths[flag])) in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_verify_rejects_infinite_scale(capsys):
     assert main(["verify", "--scale", "inf"]) == 2
     assert "scale must" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import csv_text, read_csv_text
 
 from germsim.paths import (
     CsvFormatError,
@@ -145,3 +146,121 @@ def test_csv_nonuniform_grid_rejected():
     text = "t,value\n0.0,0.0\n0.4,1.0\n1.0,2.0\n"
     with pytest.raises(CsvFormatError, match="uniform"):
         read_csv(io.StringIO(text))
+
+
+def test_csv_grid_start_error_cites_physical_line():
+    text = "t,value\n\n0.5,0.0\n1.0,1.0\n"
+    with pytest.raises(CsvFormatError, match="^line 3: grid must start at t=0"):
+        read_csv(io.StringIO(text))
+
+
+def test_csv_grid_deviation_cites_physical_line():
+    text = "t,value\n0.0,0.0\n\n0.4,1.0\n1.0,2.0\n"
+    with pytest.raises(CsvFormatError, match="^line 4: time 0.4 deviates"):
+        read_csv(io.StringIO(text))
+
+
+# Values whose repr is hard to get right: signed zero, the smallest
+# subnormal, exponent forms on either side of repr's switch, huge magnitudes.
+_HARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e300, -1e300, 0.1, 1 / 3]
+csv_values = st.one_of(
+    st.sampled_from(_HARD_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+horizons = st.one_of(
+    st.integers(1, 1_000),
+    st.integers(1, 1_000).map(float),
+    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+)
+
+
+def _written(path):
+    buf = io.StringIO()
+    write_csv(path, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizons, st.data())
+def test_write_csv_matches_per_row_reference(horizon, data):
+    grid = TimeGrid(horizon, data.draw(st.integers(1, 60), label="n_steps"))
+    values = data.draw(st.lists(csv_values, min_size=grid.n_steps + 1,
+                                max_size=grid.n_steps + 1), label="values")
+    assert _written(Path(grid, np.array(values))) == csv_text(grid, values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 30), horizons, horizons, st.data())
+def test_write_csv_alternating_grids_match_reference(n_steps, h1, h2, data):
+    # Two grids with one step count, written in turn: each file must carry
+    # its own grid's times, whatever the previous file's grid was.
+    grids = [TimeGrid(h1, n_steps), TimeGrid(h2, n_steps), TimeGrid(float(h1), n_steps)]
+    for grid in grids * 2:
+        values = data.draw(st.lists(csv_values, min_size=n_steps + 1, max_size=n_steps + 1))
+        assert _written(Path(grid, np.array(values))) == csv_text(grid, values)
+
+
+def _outcome(read, text):
+    """What reading ``text`` gives: the path's grid and value bytes, or the
+    error's type and message."""
+    try:
+        path = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return path.grid, path.values.tobytes()
+
+
+_HOSTILE = {
+    "blank lines": "t,value\n\n0.0,0.0\n\n0.5,1.0\n\n\n1.0,2.0\n\n",
+    "whitespace-only lines": "t,value\n \t\n0.0,0.0\n   \n0.5,1.0\n1.0,2.0\n \n",
+    "CRLF": "t,value\r\n0.0,0.0\r\n0.5,1.0\r\n1.0,2.0\r\n",
+    "CRLF with blank line": "t,value\r\n0.0,0.0\r\n\r\n0.6,1.0\r\n1.0,2.0\r\n",
+    "padded cells": "t,value\n 0.0 , 1.0 \n\t0.5,  -2.5\n 1.0 ,2.0 \n",
+    "padded header": "  t,value  \n0,0\n1,1\n",
+    "no final newline": "t,value\n0.0,0.0\n1.0,1.0",
+    "line separators": "t,value\u20280,0\x0c1,1\x1e2,3\n",
+    "underscore value": "t,value\n0,1_0\n1,2\n",
+    "underscore time": "t,value\n0,0\n1_0,1\n",
+    "nan value": "t,value\n0,0\n1,nan\n",
+    "NaN time": "t,value\n0,0\nNaN,1\n",
+    "inf value": "t,value\n0,0\n0.5,inf\n1,1\n",
+    "-inf time": "t,value\n0,0\n-inf,1\n",
+    "1e999": "t,value\n0,0\n1,1e999\n",
+    "non-finite before non-numeric": "t,value\n0,inf\n1,abc\n",
+    "non-numeric beside non-finite": "t,value\ninf,abc\n1,1\n",
+    "non-numeric cell": "t,value\n0,0\n0.5,1.0\nbogus,2.0\n",
+    "empty cells": "t,value\n0,0\n,\n",
+    "one field": "t,value\n0.0,0.0\n0.5\n1.0,1.0\n",
+    "three fields": "t,value\n0.0,0.0,0.0\n1.0,1.0\n",
+    "one and three fields": "t,value\n0.0\n0.5,1.0\n1.0,2.0,3.0\n",
+    "trailing comma": "t,value\n0.0,0.0\n1.0,1.0,\n",
+    "header only": "t,value\n",
+    "header without newline": "t,value",
+    "header and blank lines": "t,value\n\n \n",
+    "empty text": "",
+    "bad header": "time,val\n0.0,1.0\n",
+    "single row": "t,value\n0.0,0.0\n",
+    "single row after blank": "t,value\n\n0.0,0.0\n\n",
+    "within grid tolerance": "t,value\n0,0\n0.5000000001,1\n1,2\n",
+    "zero horizon": "t,value\n0,0\n0,0\n",
+    "negative horizon": "t,value\n0,0\n-1,1\n",
+    "signed zeros": "t,value\n-0.0,-0.0\n1,0.0\n",
+}
+
+
+@pytest.mark.parametrize("text", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_read_csv_agrees_with_per_line_reader(text):
+    assert _outcome(lambda s: read_csv(io.StringIO(s)), text) == _outcome(read_csv_text, text)
+
+
+_CELLS = ["0", "0.0", "-0.0", "0.5", "1", "1.0", " 1.0 ", "2", "1_0", "1e999", "nan", "inf",
+          "-inf", "", "x", "5e-324"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", " ", "\t"]),
+), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_read_csv_agrees_on_generated_text(rows, newline):
+    text = newline.join(["t,value", *rows]) + newline
+    assert _outcome(lambda s: read_csv(io.StringIO(s)), text) == _outcome(read_csv_text, text)
