@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .coupling import (
-    BEYOND_HORIZON,
     CoupledPair,
     first_meeting,
     fragmentation_time,
@@ -38,7 +37,6 @@ from .stats import (
 from .subordinator import (
     DriftGrid,
     FragmentationProcess,
-    PassageProcess,
     first_passage_process,
     fragmentation_process,
     fragmentation_process_dual,
@@ -47,7 +45,6 @@ from .subordinator import (
 from .verify import VerifyConfig, run_verification
 
 __all__ = [
-    "BEYOND_HORIZON",
     "CoupledPair",
     "CsvFormatError",
     "DriftGrid",
@@ -57,7 +54,6 @@ __all__ = [
     "GofReport",
     "IrregularPath",
     "Path",
-    "PassageProcess",
     "RngStream",
     "TimeGrid",
     "VerifyConfig",

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import BEYOND_HORIZON, germ_transform, sample_coupled_pair, validate_theta
+from .coupling import germ_transform, sample_coupled_pair, validate_theta
 from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
 from .rng import _check_u64, substream
 from .stats import _check_alpha, reports_to_json
@@ -74,6 +75,16 @@ _OUTPUTS = ("manifest.json", "path_*.csv", "stem_*.csv", "branch_*.csv",
             "frag_times.csv", "frag_times.json", "frag_process_*.csv", "frag_process_*.json")
 
 
+def _make_dir(out: FsPath) -> None:
+    """Create ``out`` and its parents; a failure is reported under ``out``."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"out: cannot create directory {str(out)!r}: {exc.strerror or exc}"
+        ) from None
+
+
 def _out_dir(cfg: RunConfig) -> FsPath:
     """Create the output directory and delete every output of an earlier run,
     its manifest first, so the directory reads as incomplete until this run
@@ -81,7 +92,7 @@ def _out_dir(cfg: RunConfig) -> FsPath:
     if cfg.out_dir is None:
         raise ConfigError("out_dir is required")
     out = FsPath(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     for pattern in _OUTPUTS:
         for old in out.glob(pattern):
             old.unlink()
@@ -94,8 +105,6 @@ def _write_json(path: FsPath, doc) -> None:
 
 
 def _cell(value) -> str:
-    if value is BEYOND_HORIZON:
-        return "inf"
     if isinstance(value, bool):
         return str(value).lower()
     return repr(value)
@@ -105,13 +114,13 @@ def _write_table(out: FsPath, name: str, fmt: str, columns, rows, csv_columns=No
     """Write ``rows`` as ``name.csv`` or as ``name.json``, a list of objects
     keyed by ``columns``.
 
-    BEYOND_HORIZON is ``inf`` in CSV and ``null`` in JSON.  CSV cells are
+    A censored time, ``inf``, is ``null`` in JSON.  CSV cells are
     ``repr`` numbers and lower-case booleans; ``csv_columns`` names a
     leading subset of the columns for the CSV header and rows.
     """
     if fmt == "json":
         _write_json(out / f"{name}.json", [
-            {c: None if v is BEYOND_HORIZON else v for c, v in zip(columns, row)}
+            {c: None if v == math.inf else v for c, v in zip(columns, row)}
             for row in rows
         ])
         return
@@ -206,13 +215,17 @@ def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
 
 
 def cmd_verify(cfg: RunConfig, scale: float, out_path: FsPath | None) -> int:
-    """Run the verification suite; exit status 0 iff every check passes."""
+    """Run the verification suite; exit status 0 iff every check passes.
+
+    The output directory is created first, so an unusable ``--out`` fails
+    before the suite runs."""
+    if out_path is not None:
+        _make_dir(out_path.parent)
     reports = run_verification(
         VerifyConfig(seed=cfg.seed, alpha=cfg.alpha, scale=scale)
     )
     text = reports_to_json(reports)
     if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_text(out_path, text)
     else:
         sys.stdout.write(text)

@@ -21,30 +21,15 @@ from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm_rows
 from .rng import RngStream, uniform01_from_words
 
 
-class _BeyondHorizon:
-    """Censoring marker: the event did not resolve within [0, horizon].
-
-    Distinct from ``None``: BEYOND_HORIZON means agreement (or passage)
-    persisted to the end of the window, ``None`` means no event was found.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "BEYOND_HORIZON"
-
-
-BEYOND_HORIZON = _BeyondHorizon()
-
-
 @dataclass(frozen=True)
 class CoupledPair:
-    """A stem path, its drifted transform, and their detected fragmentation time."""
+    """A stem path, its drifted transform, and their detected fragmentation
+    time, ``inf`` when they agree to the horizon."""
 
     stem: Path
     branch: Path
     theta: float
-    frag_time: float | _BeyondHorizon
+    frag_time: float
 
     def __post_init__(self):
         if self.stem.grid != self.branch.grid:
@@ -52,7 +37,7 @@ class CoupledPair:
 
     @property
     def agreed_to_horizon(self) -> bool:
-        return self.frag_time is BEYOND_HORIZON
+        return self.frag_time == math.inf
 
 
 def _root(ts, d, *, last: bool = False, tol: float = 0.0) -> float | None:
@@ -62,18 +47,20 @@ def _root(ts, d, *, last: bool = False, tol: float = 0.0) -> float | None:
     sign change between adjacent grid points is additionally located by
     linear interpolation inside the cell.  On a tie the touch is kept.
     ``None`` when ``d`` neither touches nor changes sign.
+
+    Every cell's interpolated root is a candidate, because one can round
+    past its cell's end and so past the next cell's root.
     """
     pick = max if last else min
-    end = -1 if last else 0
     best = None
     touches = np.nonzero(np.abs(d) <= tol)[0]
     if touches.size:
-        best = float(ts[touches[end]])
+        best = float(ts[touches[-1 if last else 0]])
     if tol == 0.0:
-        flips = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-        if flips.size:
-            k = flips[end]
-            root = float(ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1]))
+        k = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
+        if k.size:
+            roots = ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])
+            root = float(roots.max() if last else roots.min())
             best = root if best is None else pick(best, root)
     return best
 
@@ -179,17 +166,17 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
     return reflect_after_last_visit(w, theta)
 
 
-def fragmentation_time(p1: Path, p2: Path) -> float | _BeyondHorizon:
+def fragmentation_time(p1: Path, p2: Path) -> float:
     """First grid time where the two paths differ bit-exactly.
 
-    BEYOND_HORIZON when they agree at every grid point.  Bit-exact
+    ``inf`` when they agree at every grid point.  Bit-exact
     comparison is sound because the coupling transforms copy the agreement
     prefix verbatim.
     """
     if p1.grid != p2.grid:
         raise ValueError("paths must share a grid")
     first = int(_first_difference(p1.values[None], p2.values[None])[0])
-    return BEYOND_HORIZON if first > p1.grid.n_steps else float(p1.times[first])
+    return math.inf if first > p1.grid.n_steps else float(p1.times[first])
 
 
 def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import os
 import pathlib
 from dataclasses import dataclass
@@ -28,16 +30,32 @@ def _frozen_view(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_i = i * horizon / n_steps covering [0, horizon]."""
+    """Uniform grid t_i = i * horizon / n_steps covering [0, horizon].
+
+    The horizon is stored as a Python float and ``n_steps`` as an int, so a
+    grid built from numpy scalars equals, and hashes like, one built from
+    the matching Python numbers.
+    """
 
     horizon: float
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        # A 0-d array becomes its scalar; any other array stays an array.
+        horizon = self.horizon[()] if isinstance(self.horizon, np.ndarray) else self.horizon
+        if not isinstance(horizon, numbers.Real):
+            raise ValueError(f"horizon must be a real number, got {self.horizon!r}")
+        horizon = float(horizon)
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+        try:
+            n_steps = operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "n_steps", n_steps)
 
     @property
     def dt(self) -> float:

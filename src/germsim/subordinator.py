@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BEYOND_HORIZON, _BeyondHorizon, _root, invert_time, last_line_visit
+from .coupling import _root, invert_time, last_line_visit
 from .paths import line_value
 from .rng import RngStream
 
@@ -40,36 +40,23 @@ class DriftGrid:
 
 @dataclass(frozen=True)
 class FragmentationProcess:
-    """Fragmentation times per drift, non-increasing with censored = +inf."""
+    """Fragmentation times per drift, non-increasing, ``inf`` where agreement
+    outlives the window."""
 
-    grid: DriftGrid
-    times: tuple[float | _BeyondHorizon, ...]
+    times: tuple[float, ...]
     censored: tuple[bool, ...]
 
-    def times_array(self) -> np.ndarray:
-        """Times as floats with BEYOND_HORIZON mapped to +inf."""
-        return np.array(
-            [math.inf if t is BEYOND_HORIZON else t for t in self.times], dtype=float
-        )
-
     def is_nonincreasing(self) -> bool:
-        a = self.times_array()
+        # Compared, not differenced: inf - inf is nan.
+        a = np.array(self.times)
         return bool(np.all(a[1:] <= a[:-1]))
-
-
-@dataclass(frozen=True)
-class PassageProcess:
-    """First times a path reaches the levels theta / 2, non-decreasing in theta."""
-
-    grid: DriftGrid
-    times: tuple[float | None, ...]
 
 
 def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
     """Last visit of the stem to each line theta * t / 2 with censoring.
 
     The stem must be a driftless path started at 0.  An entry is
-    BEYOND_HORIZON when agreement is certain to outlive the window: at
+    ``inf`` when agreement is certain to outlive the window: at
     theta = 0, and whenever the stem ends strictly above the line (the
     endpoint likelihood ratio is then >= 1, so the keep branch of the
     transform always fires).  A stem ending exactly on the line reports
@@ -82,12 +69,12 @@ def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
     ts = stem.times
     horizon = float(ts[-1])
     penultimate = float(ts[-2])
-    times: list[float | _BeyondHorizon] = []
+    times: list[float] = []
     censored: list[bool] = []
     for theta in grid.thetas:
         d_end = float(stem.values[-1]) - line_value(theta, horizon)
         if theta == 0.0 or d_end > 0.0:
-            times.append(BEYOND_HORIZON)
+            times.append(math.inf)
             censored.append(True)
             continue
         if d_end == 0.0:
@@ -99,7 +86,7 @@ def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
             visit = 0.0
         times.append(visit)
         censored.append(visit > penultimate)
-    return FragmentationProcess(grid, tuple(times), tuple(censored))
+    return FragmentationProcess(tuple(times), tuple(censored))
 
 
 def fragmentation_process_dual(
@@ -109,19 +96,19 @@ def fragmentation_process_dual(
 
     Inverts the stem on [t_min, horizon], finds the first passage of the
     inverted path to each level theta / 2 and returns reciprocals.  A drift
-    whose level is never reached is censored BEYOND_HORIZON.  Agrees with
+    whose level is never reached is censored at ``inf``.  Agrees with
     :func:`fragmentation_process` within one grid cell wherever both are
     uncensored.  ``t_min`` defaults to one grid cell, so the inverted grid
     covers [1/horizon, n_steps/horizon].
     """
     if t_min is None:
         t_min = stem.grid.dt
-    passages = first_passage_process(invert_time(stem, t_min), grid).times
-    times = tuple(BEYOND_HORIZON if p is None or p == 0.0 else 1.0 / p for p in passages)
-    return FragmentationProcess(grid, times, tuple(t is BEYOND_HORIZON for t in times))
+    passages = first_passage_process(invert_time(stem, t_min), grid)
+    times = tuple(1.0 / p if p else math.inf for p in passages)
+    return FragmentationProcess(times, tuple(map(math.isinf, times)))
 
 
-def first_passage_process(w, grid: DriftGrid) -> PassageProcess:
+def first_passage_process(w, grid: DriftGrid) -> tuple[float | None, ...]:
     """First time the path reaches each level theta / 2, or None if never.
 
     Crossings are located by linear interpolation inside the crossing
@@ -130,7 +117,7 @@ def first_passage_process(w, grid: DriftGrid) -> PassageProcess:
     """
     ts = np.asarray(w.times)
     vs = np.asarray(w.values)
-    return PassageProcess(grid, tuple(_root(ts, vs - 0.5 * theta) for theta in grid.thetas))
+    return tuple(_root(ts, vs - 0.5 * theta) for theta in grid.thetas)
 
 
 def sample_passage_time(level: float, stream: RngStream, size: int | None = None):

@@ -185,16 +185,27 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, name):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch):
-    args = ["couple", "--seed", "3", "--paths", "4", "--steps", "64",
-            "--horizon", "2.0", "--theta", "1.0"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("GERM_THREADS", "1")
-    assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("GERM_THREADS", "4")
-    assert main(args + ["--out", str(b)]) == 0
-    for name in sorted(p.name for p in a.iterdir()):
-        assert _read(a / name) == _read(b / name)
+@pytest.mark.parametrize("argv", [
+    ["sample", "--steps", "4"],
+    ["couple", "--steps", "4", "--theta", "1"],
+    ["bouquet", "--steps", "4", "--thetas", "1"],
+    ["frag-process", "--steps", "4", "--thetas", "1"],
+    ["verify", "--scale", "0.02"],
+])
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_is_a_file_exits_2_naming_out(tmp_path, capsys, monkeypatch, argv, under):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out = afile / under if under else afile
+    # verify must fail before its suite starts.
+    suites = []
+    monkeypatch.setattr(cli, "run_verification", lambda cfg: suites.append(cfg) or [])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot create directory {str(out)!r}: ")
+    assert "Errno" not in err
+    assert suites == []
+    assert afile.read_text() == "not a directory\n"
 
 
 def test_couple_zero_drift_branches_equal_stems(tmp_path):
@@ -369,6 +380,11 @@ GOLDEN_RUNS = {
                 "--thetas", "0,0.5,3"],
     "frag_process": ["frag-process", "--paths", "2", "--steps", "64", "--horizon", "4",
                      "--thetas", "0,0.5,2"],
+    # theta = 0 in the grid, so the JSON tables hold censored (null) rows.
+    "bouquet_json": ["bouquet", "--seed", "4", "--paths", "2", "--steps", "32",
+                     "--horizon", "4", "--thetas", "0,0.5,3", "--format", "json"],
+    "frag_process_json": ["frag-process", "--paths", "2", "--steps", "64", "--horizon", "4",
+                          "--thetas", "0,0.5,2", "--format", "json"],
 }
 GOLDEN_SHA256 = {
     "sample": {
@@ -405,6 +421,24 @@ GOLDEN_SHA256 = {
         "frag_process_00001.csv": "aa1f6e72237297ec8284519acbe4464ca60adbd388e2027564c6d1fa429e5b3e",
         "manifest.json": "e0236583b3d0220248e8ed61d4f7ca5319420cbf8c126e5d92e69dc7bc409452",
     },
+    "bouquet_json": {
+        "branch_00000_theta0.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
+        "branch_00000_theta1.csv": "4036053fba85e36674af9723225b2d66e4044056c89c1b075ccd2d644519fff3",
+        "branch_00000_theta2.csv": "056bb1c5a391881f849014defdb6bd292a2b4ee6245a4715a3b38af7c1eb5d80",
+        "branch_00001_theta0.csv": "4bb7bae785b7e4564eb8286e1c1621d7fa6701ac8741649f429035e207218e26",
+        "branch_00001_theta1.csv": "4bb7bae785b7e4564eb8286e1c1621d7fa6701ac8741649f429035e207218e26",
+        "branch_00001_theta2.csv": "1600412e4669d4a6be0eb73f4f1621f389bf71a4f7b382c91630b4a367931240",
+        "frag_process_00000.json": "96a22670c60641b1f1460390743440d99086e26624da5c3ac5d85ff882152998",
+        "frag_process_00001.json": "e4bcf630001a7014bfbf06b24daa83a9990de50b65424a5832e71204b9208d11",
+        "manifest.json": "fdddbfb974e0f352d6f0dc6b9d0706ead7d2e3680e540cb182c4445874f0ea52",
+        "stem_00000.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
+        "stem_00001.csv": "4bb7bae785b7e4564eb8286e1c1621d7fa6701ac8741649f429035e207218e26",
+    },
+    "frag_process_json": {
+        "frag_process_00000.json": "c285c07af27111938c329b4e614f7f6aadca115c8509fd0b4f0e781ef6611b4e",
+        "frag_process_00001.json": "043179f6f243103d77211a74c63e4a041ad066b6778c91d433d2435c620445c5",
+        "manifest.json": "1ae9a50598ca9258f5245048cafebea2c1e551a753289176c39ffe17ce6d5968",
+    },
     "germ_transform": {
         "keep.csv": "8d75e72f94b96dc19a02e1d963da099b57b882623108df4fcde1fd4f816970d4",
         "reflect.csv": "f8deb58b65657680a095ef55bc7ea527ed0e5b8e95f4c354775b8f7c91244715",
@@ -430,3 +464,10 @@ def test_cli_output_bytes_unchanged(tmp_path):
                      "--out", str(gt / name)]) == 0
     got["germ_transform"] = _digests(gt)
     assert got == GOLDEN_SHA256
+    # Strict JSON: a censored time is null, never the non-standard Infinity.
+    for doc in tmp_path.rglob("*.json"):
+        json.loads(doc.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")

@@ -31,6 +31,28 @@ def test_grid_validation():
     assert np.array_equal(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def test_grid_coerces_numeric_horizon():
+    # A 0-d array horizon is stored as a float, so the grid hashes and
+    # write_csv (which caches on the grid) writes it like TimeGrid(1.0, 2).
+    grid = TimeGrid(np.array(1.0), np.int64(2))
+    assert type(grid.horizon) is float and type(grid.n_steps) is int
+    assert grid == TimeGrid(1.0, 2) and hash(grid) == hash(TimeGrid(1.0, 2))
+    values = np.array([0.0, 0.5, -1.0])
+    assert _written(Path(grid, values)) == _written(Path(TimeGrid(1.0, 2), values))
+
+
+@pytest.mark.parametrize("horizon", ["1.0", None, np.array([1.0]), 1j])
+def test_grid_rejects_non_numeric_horizon(horizon):
+    with pytest.raises(ValueError, match="^horizon must be a real number"):
+        TimeGrid(horizon, 2)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 4.0, "4", None])
+def test_grid_rejects_non_integer_n_steps(n_steps):
+    with pytest.raises(ValueError, match="^n_steps must be an integer"):
+        TimeGrid(1.0, n_steps)
+
+
 def test_path_validation():
     g = TimeGrid(1.0, 2)
     with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from germsim.coupling import BEYOND_HORIZON
 from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
 from germsim.rng import substream
 from germsim.stats import Ecdf, ks_statistic, levy_cdf
@@ -43,7 +42,7 @@ def test_drift_grid_rejects_non_finite(bad):
 def test_zero_drift_entry_is_horizon_censored():
     stem = sample_bm(TimeGrid(1.0, 100), DriftedLaw(0.0, 0.0), substream(31, 0))
     fp = fragmentation_process(stem, DriftGrid((0.0, 1.0)))
-    assert fp.times[0] is BEYOND_HORIZON
+    assert fp.times[0] == math.inf
     assert fp.censored[0]
 
 
@@ -91,21 +90,21 @@ def test_dual_censors_unreachable_levels():
     grid = TimeGrid(2.0, 8)
     stem = Path(grid, line_value(1.0, grid.times()))
     fd = fragmentation_process_dual(stem, DriftGrid((50.0,)))
-    assert fd.times[0] is BEYOND_HORIZON
+    assert fd.times[0] == math.inf
     assert fd.censored[0]
 
 
 def test_first_passage_level_zero_at_start():
     stem = sample_bm(TimeGrid(1.0, 16), DriftedLaw(0.0, 0.0), substream(34, 0))
     pp = first_passage_process(stem, DriftGrid((0.0,)))
-    assert pp.times[0] == 0.0
+    assert pp[0] == 0.0
 
 
 def test_first_passage_interpolates_crossing():
     grid = TimeGrid(1.0, 4)
     w = Path(grid, grid.times())  # w(t) = t
     pp = first_passage_process(w, DriftGrid((1.0,)))
-    assert pp.times[0] == 0.5
+    assert pp[0] == 0.5
 
 
 def test_first_passage_monotone_and_none():
@@ -113,7 +112,7 @@ def test_first_passage_monotone_and_none():
     dgrid = DriftGrid((0.1, 0.5, 1.0, 3.0, 50.0))
     for i in range(100):
         w = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(35, i))
-        times = first_passage_process(w, dgrid).times
+        times = first_passage_process(w, dgrid)
         reached = [t for t in times if t is not None]
         assert all(b >= a for a, b in zip(reached, reached[1:]))
         # once a level is unreached, higher ones must be too
@@ -126,7 +125,7 @@ def test_first_passage_monotone_and_none():
     # level far above anything a short window reaches
     assert first_passage_process(
         sample_bm(grid, DriftedLaw(0.0, 0.0), substream(35, 0)), DriftGrid((50.0,))
-    ).times[0] is None
+    )[0] is None
 
 
 def test_passage_sampler_formula():
