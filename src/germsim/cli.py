@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 from . import __version__
 from .coupling import germ_transform, sample_coupled_pair, validate_theta
 from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
-from .rng import _check_u64, substream
+from .rng import _check_int, _check_u64, substream
 from .stats import _check_alpha, reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
@@ -40,9 +40,10 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            _check_u64("seed", self.seed)
-            self.grid()
+            object.__setattr__(self, "seed", _check_u64("seed", self.seed))
+            object.__setattr__(self, "n_steps", self.grid().n_steps)
             _check_alpha(self.alpha)
+            object.__setattr__(self, "n_paths", _check_int("n_paths", self.n_paths))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.n_paths < 1:

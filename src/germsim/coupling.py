@@ -40,28 +40,27 @@ class CoupledPair:
         return self.frag_time == math.inf
 
 
-def _root(ts, d, *, last: bool = False, tol: float = 0.0) -> float | None:
+def _root(ts, d, *, last: bool = False) -> float | None:
     """First (or, with ``last``, latest) time where the sampled ``d`` meets 0.
 
-    A grid point with ``|d| <= tol`` counts as a touch; with ``tol == 0`` a
-    sign change between adjacent grid points is additionally located by
-    linear interpolation inside the cell.  On a tie the touch is kept.
-    ``None`` when ``d`` neither touches nor changes sign.
+    A grid point where ``d`` is exactly 0 counts as a touch; a sign change
+    between adjacent grid points is located by linear interpolation inside
+    the cell.  On a tie the touch is kept.  ``None`` when ``d`` neither
+    touches nor changes sign.
 
     Every cell's interpolated root is a candidate, because one can round
     past its cell's end and so past the next cell's root.
     """
     pick = max if last else min
     best = None
-    touches = np.nonzero(np.abs(d) <= tol)[0]
+    touches = np.nonzero(d == 0)[0]
     if touches.size:
         best = float(ts[touches[-1 if last else 0]])
-    if tol == 0.0:
-        k = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-        if k.size:
-            roots = ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])
-            root = float(roots.max() if last else roots.min())
-            best = root if best is None else pick(best, root)
+    k = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
+    if k.size:
+        roots = ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])
+        root = float(roots.max() if last else roots.min())
+        best = root if best is None else pick(best, root)
     return best
 
 
@@ -201,23 +200,17 @@ def sample_coupled_pair(grid, theta: float, stream: RngStream) -> CoupledPair:
     return CoupledPair(stem, branch, theta, fragmentation_time(stem, branch))
 
 
-def couple_rows(grid, theta: float, words: np.ndarray, *, skip_reflection: bool = False):
+def couple_rows(grid, theta: float, words: np.ndarray):
     """Coupled pairs, one per row: a driftless stem and its germ transform.
 
     ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
     increments, then the uniform.  Returns the stems, the branches and the
     first reflected index of each branch (``n_steps + 1`` when it was kept
     or nothing was reflected).
-
-    ``skip_reflection`` is a verification hook for negative controls: the
-    reflection branch is suppressed and every branch is its stem, which
-    deliberately breaks the coupled law.
     """
     validate_theta(theta)
     n = grid.n_steps
     stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
-    if skip_reflection:
-        return stems, stems, np.full(stems.shape[0], n + 1)
     times = grid.times()
     start = _reflection_start(times, stems, theta)
     u = uniform01_from_words(words[:, n])
@@ -252,17 +245,15 @@ def invert_rows(times: np.ndarray, values: np.ndarray, t_min: float):
     return (1.0 / sel_t)[::-1], (values[..., mask] / sel_t)[..., ::-1]
 
 
-def first_meeting(p1, p2, tol: float = 0.0) -> float | None:
+def first_meeting(p1, p2) -> float | None:
     """Earliest time where the two trajectories meet.
 
-    A grid point with ``|p1 - p2| <= tol`` counts as a meeting; with
-    ``tol == 0`` a sign change of the difference between adjacent grid
-    points is additionally resolved to the interpolated crossing inside
-    the cell.  ``None`` when they never meet on the grid.
+    A grid point where their difference is exactly 0 counts as a meeting,
+    and a sign change of the difference between adjacent grid points is
+    resolved to the interpolated crossing inside the cell.  ``None`` when
+    they never meet on the grid.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     ts = np.asarray(p1.times)
     if not np.array_equal(ts, np.asarray(p2.times)):
         raise ValueError("paths must share a grid")
-    return _root(ts, np.asarray(p1.values) - np.asarray(p2.values), tol=tol)
+    return _root(ts, np.asarray(p1.values) - np.asarray(p2.values))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import os
 import pathlib
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .rng import RngStream, normal_from_words
+from .rng import RngStream, _check_int, normal_from_words
 
 
 class CsvFormatError(ValueError):
@@ -48,10 +47,7 @@ class TimeGrid:
         horizon = float(horizon)
         if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-        try:
-            n_steps = operator.index(self.n_steps)
-        except TypeError:
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
+        n_steps = _check_int("n_steps", self.n_steps)
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         object.__setattr__(self, "horizon", horizon)

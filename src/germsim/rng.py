@@ -22,6 +22,8 @@ samplers, so batched and per-stream draws agree bit for bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -43,10 +45,20 @@ _SHIFT32 = np.uint64(32)
 KEYED_MAX_WORDS = 384
 
 
+def _check_int(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``, so 2.5 or 4.0 is rejected
+    under ``name`` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_u64(name: str, value: int) -> int:
-    if not 0 <= int(value) < _U64_MAX:
+    value = _check_int(name, value)
+    if not 0 <= value < _U64_MAX:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
-    return int(value)
+    return value
 
 
 def uniform01_from_words(words: np.ndarray) -> np.ndarray:

@@ -59,51 +59,42 @@ def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
     ``inf`` when agreement is certain to outlive the window: at
     theta = 0, and whenever the stem ends strictly above the line (the
     endpoint likelihood ratio is then >= 1, so the keep branch of the
-    transform always fires).  A stem ending exactly on the line reports
-    the horizon itself, censored.  Otherwise the entry is the last visit,
+    transform always fires).  Otherwise the entry is the last visit,
     flagged censored when it falls inside the final cell, where the grid
-    cannot tell whether the visit settles before the horizon.
+    cannot tell whether the visit settles before the horizon.  A stem
+    ending exactly on the line thus reports the horizon itself, censored.
+    The stem starts on every line, so a last visit always exists.
     """
     if stem.values[0] != 0.0:
         raise ValueError("stem must start at 0")
     ts = stem.times
     horizon = float(ts[-1])
     penultimate = float(ts[-2])
+    end = float(stem.values[-1])
     times: list[float] = []
     censored: list[bool] = []
     for theta in grid.thetas:
-        d_end = float(stem.values[-1]) - line_value(theta, horizon)
-        if theta == 0.0 or d_end > 0.0:
+        if theta == 0.0 or end > line_value(theta, horizon):
             times.append(math.inf)
             censored.append(True)
-            continue
-        if d_end == 0.0:
-            times.append(horizon)
-            censored.append(True)
-            continue
-        visit = last_line_visit(stem, theta)
-        if visit is None:
-            visit = 0.0
-        times.append(visit)
-        censored.append(visit > penultimate)
+        else:
+            visit = last_line_visit(stem, theta)
+            times.append(visit)
+            censored.append(visit > penultimate)
     return FragmentationProcess(tuple(times), tuple(censored))
 
 
-def fragmentation_process_dual(
-    stem, grid: DriftGrid, t_min: float | None = None
-) -> FragmentationProcess:
+def fragmentation_process_dual(stem, grid: DriftGrid) -> FragmentationProcess:
     """Fragmentation times computed through the inverted path.
 
-    Inverts the stem on [t_min, horizon], finds the first passage of the
-    inverted path to each level theta / 2 and returns reciprocals.  A drift
-    whose level is never reached is censored at ``inf``.  Agrees with
-    :func:`fragmentation_process` within one grid cell wherever both are
-    uncensored.  ``t_min`` defaults to one grid cell, so the inverted grid
-    covers [1/horizon, n_steps/horizon].
+    Inverts the stem on [dt, horizon], one grid cell onwards, so the
+    inverted grid covers [1/horizon, n_steps/horizon].  Finds the first
+    passage of the inverted path to each level theta / 2 and returns
+    reciprocals.  A drift whose level is never reached is censored at
+    ``inf``.  Agrees with :func:`fragmentation_process` within one grid
+    cell wherever both are uncensored.
     """
-    if t_min is None:
-        t_min = stem.grid.dt
-    passages = first_passage_process(invert_time(stem, t_min), grid)
+    passages = first_passage_process(invert_time(stem, stem.grid.dt), grid)
     times = tuple(1.0 / p if p else math.inf for p in passages)
     return FragmentationProcess(times, tuple(map(math.isinf, times)))
 

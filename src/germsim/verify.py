@@ -65,7 +65,7 @@ class VerifyConfig:
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_u64("seed", self.seed)
+        object.__setattr__(self, "seed", _check_u64("seed", self.seed))
         _check_alpha(self.alpha)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
@@ -114,7 +114,6 @@ def _couple_batch(
     horizon: float,
     n_steps: int,
     n_paths: int,
-    skip_reflection: bool = False,
 ) -> _CoupleSummary:
     grid = TimeGrid(horizon, n_steps)
     # Time of each index, inf at n_steps + 1: "no such index".
@@ -124,9 +123,7 @@ def _couple_batch(
     branch_end = np.empty(n_paths)
     for ids in _chunks(n_paths, n_steps + 1):
         words = stream_words(seed, namespace | ids, n_steps + 1)
-        stems, branches, start = couple_rows(
-            grid, theta, words, skip_reflection=skip_reflection
-        )
+        stems, branches, start = couple_rows(grid, theta, words)
         frag[ids] = times[start]
         # The germ recheck does not trust the reflection start: it scans
         # for the first bit-exact difference between stem and branch.
@@ -326,7 +323,7 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         gap = np.interp(fine_t, knots_t, knots_v)
         i1 = invert_time(Path(fine, base), pair_t_min)
         i2 = invert_time(Path(fine, base + gap), pair_t_min)
-        met = first_meeting(i1, i2, tol=0.0)
+        met = first_meeting(i1, i2)
         if met is None:
             return False
         expect = 1.0 / m
@@ -388,15 +385,16 @@ def _criterion_9(cfg: VerifyConfig) -> GofReport:
 
 
 def _criterion_10(cfg: VerifyConfig) -> GofReport:
-    # Negative control: with the reflection branch suppressed every pair
-    # agrees to the horizon, the observable region gets no mass, and the
-    # fragmentation-law KS must blow past its threshold.  The report is
-    # sign-flipped so that pass means "the corrupted run failed".
+    # Negative control: couple at the wrong drift, theta = 0, and test the
+    # result against the theta = 2 law.  At theta = 0 the likelihood ratio
+    # is 1, so every pair agrees to the horizon, the observable region gets
+    # no mass, and the fragmentation-law KS must blow past its threshold.
+    # The report is sign-flipped so that pass means "the corrupted run
+    # failed".
     n_steps = _scaled(1_000, cfg.scale, 250)
     n_paths = _scaled(2_000, cfg.scale, 400)
-    corrupted = _couple_batch(
-        cfg.seed, _ns(10), 2.0, 10.0, n_steps, n_paths, skip_reflection=True
-    )
+    corrupted = replace(_couple_batch(cfg.seed, _ns(10), 0.0, 10.0, n_steps, n_paths),
+                        theta=2.0)
     stat, n_unc = _frag_law_ks(corrupted)
     return _report(cfg, "c10_negative_control", n_paths, -stat, -FRAG_KS_TOL,
                    corrupted_ks=stat, ks_tolerance=FRAG_KS_TOL, uncensored=n_unc)

@@ -24,7 +24,7 @@ from germsim.paths import CsvFormatError, Path, TimeGrid
 from germsim.rng import RngStream
 
 
-def coupled_pair(times, horizon, theta, stream, skip_reflection=False):
+def coupled_pair(times, horizon, theta, stream):
     """Stem and branch of one pair drawn from ``stream``: ``n_steps`` words
     for the stem increments, then one for the uniform."""
     n_steps = len(times) - 1
@@ -36,7 +36,7 @@ def coupled_pair(times, horizon, theta, stream, skip_reflection=False):
     x = theta * stem[-1] - 0.5 * theta * theta * horizon
     kept = x >= 0 or u <= math.exp(x)
     branch = list(stem)
-    if not (kept or skip_reflection):
+    if not kept:
         k = n_steps
         while k >= 0 and stem[k] - 0.5 * theta * times[k] < 0:
             branch[k] = theta * times[k] - stem[k]
@@ -52,7 +52,7 @@ def first_difference(a, b):
     return None
 
 
-def couple_summary(seed, namespace, theta, horizon, n_steps, n_paths, skip_reflection):
+def couple_summary(seed, namespace, theta, horizon, n_steps, n_paths):
     """Per path of streams ``(seed, namespace | i)``: the fragmentation time
     (inf where stem and branch agree), whether the first difference lies
     past t = 0, whether the pair agreed to the horizon, and the branch
@@ -60,9 +60,7 @@ def couple_summary(seed, namespace, theta, horizon, n_steps, n_paths, skip_refle
     times = TimeGrid(horizon, n_steps).times().tolist()
     frag, germ_ok, kept, branch_end = [], [], [], []
     for i in range(n_paths):
-        stem, branch = coupled_pair(
-            times, horizon, theta, RngStream(seed, namespace | i), skip_reflection
-        )
+        stem, branch = coupled_pair(times, horizon, theta, RngStream(seed, namespace | i))
         k = first_difference(stem, branch)
         frag.append(math.inf if k is None else times[k])
         germ_ok.append(k is None or k >= 1)

@@ -32,23 +32,17 @@ SEED0_SCALE005_SHA256 = "8c14917d3a6769ee61491ae7d88ec7c8c649908183d0405bfadb618
     n_steps=st.one_of(st.integers(1, 40), st.integers(KEYED_MAX_WORDS - 3, KEYED_MAX_WORDS + 30)),
     rows_per_chunk=st.integers(1, 4),
     n_paths=st.integers(1, 11),
-    skip_reflection=st.booleans(),
 )
 # An exact tie of the keep rule: here u == exp(theta * w(T) - theta^2 * T / 2)
 # bit for bit, so only "u <= exp" (not "u < exp") keeps the pair.
 @example(seed=0, theta=1.6826591390706058, horizon=1.0, n_steps=4, rows_per_chunk=1,
-         n_paths=1, skip_reflection=False)
-def test_chunked_core_matches_per_path(
-    seed, theta, horizon, n_steps, rows_per_chunk, n_paths, skip_reflection
-):
+         n_paths=1)
+def test_chunked_core_matches_per_path(seed, theta, horizon, n_steps, rows_per_chunk, n_paths):
     # A small chunk budget puts chunk boundaries inside n_paths.
     with mock.patch.object(verify, "CHUNK_WORDS", rows_per_chunk * (n_steps + 1)):
-        got = verify._couple_batch(
-            seed, verify._ns(1), theta, horizon, n_steps, n_paths,
-            skip_reflection=skip_reflection,
-        )
+        got = verify._couple_batch(seed, verify._ns(1), theta, horizon, n_steps, n_paths)
     frag, germ_ok, kept, branch_end = map(np.array, couple_summary(
-        seed, verify._ns(1), theta, horizon, n_steps, n_paths, skip_reflection
+        seed, verify._ns(1), theta, horizon, n_steps, n_paths
     ))
     assert got.frag.tobytes() == frag.tobytes()
     assert np.array_equal(got.germ_ok, germ_ok)

@@ -54,10 +54,28 @@ def test_run_config_raises_the_owner_message(kwargs, owner):
     ({"seed": -1}, "seed"),
     ({"seed": 2**64}, "seed"),
     ({"scale": float("inf")}, "scale"),
+    # Truncation would run seed 1 under a report that says 1.5.
+    ({"seed": 1.5}, "seed"),
 ])
 def test_verify_config_validated_at_construction(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
         VerifyConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["seed", "n_paths", "n_steps"])
+@pytest.mark.parametrize("bad", [2.5, 4.0, "4"])
+def test_run_config_rejects_non_integer_counts(name, bad):
+    # Truncation would run seed 2 for 2.5, and n_paths = 2.5 would fail
+    # only later, in cmd_sample, with a bare TypeError.
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        RunConfig(**{name: bad})
+
+
+def test_configs_store_python_ints():
+    cfg = RunConfig(seed=np.uint64(5), n_paths=np.int64(2), n_steps=np.int64(4))
+    assert [type(v) for v in (cfg.seed, cfg.n_paths, cfg.n_steps)] == [int, int, int]
+    assert json.loads(json.dumps(cfg.manifest("sample")))["seed"] == 5
+    assert type(VerifyConfig(seed=np.uint64(3)).seed) is int
 
 
 def test_sample_writes_paths_and_manifest(tmp_path):

@@ -20,7 +20,7 @@ from germsim.coupling import (
 from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
 from germsim.rng import substream
 from germsim.stats import Ecdf, ks_statistic, ks_threshold, std_normal_cdf
-from germsim.subordinator import DriftGrid, first_passage_process
+from germsim.subordinator import DriftGrid, first_passage_process, fragmentation_process
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, width=64, min_value=-1e6, max_value=1e6
@@ -306,19 +306,13 @@ def test_first_meeting_identical():
 def test_first_meeting_interpolated_root():
     p1 = path_of([1.0, 0.0], horizon=1.0)
     p2 = path_of([0.0, 1.0], horizon=1.0)
-    assert first_meeting(p1, p2, tol=0.0) == 0.5
+    assert first_meeting(p1, p2) == 0.5
 
 
 def test_first_meeting_none_when_separated():
     p1 = path_of([1.0, 2.0], horizon=1.0)
     p2 = path_of([0.0, 0.5], horizon=1.0)
-    assert first_meeting(p1, p2, tol=0.0) is None
-
-
-def test_first_meeting_rejects_nan_tol():
-    w = path_of([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="^tol must be >= 0"):
-        first_meeting(w, w, tol=math.nan)
+    assert first_meeting(p1, p2) is None
 
 
 def test_first_meeting_grid_mismatch():
@@ -330,16 +324,15 @@ def test_first_meeting_grid_mismatch():
 
 # ------------------------------------------------------------ crossing finder
 
-def _scan(ts, d, *, last=False, tol=0.0):
-    """Reference crossing finder: every grid touch and, with tol == 0, the
+def _scan(ts, d, *, last=False):
+    """Reference crossing finder: every exact grid touch and the
     interpolated root of every cell whose ends have opposite signs."""
-    hits = [float(ts[i]) for i in range(len(d)) if abs(d[i]) <= tol]
-    if tol == 0.0:
-        for k in range(len(d) - 1):
-            a, b = float(d[k]), float(d[k + 1])
-            if (a > 0 and b < 0) or (a < 0 and b > 0):
-                t0, t1 = float(ts[k]), float(ts[k + 1])
-                hits.append(t0 + (t1 - t0) * a / (a - b))
+    hits = [float(ts[i]) for i in range(len(d)) if d[i] == 0]
+    for k in range(len(d) - 1):
+        a, b = float(d[k]), float(d[k + 1])
+        if (a > 0 and b < 0) or (a < 0 and b > 0):
+            t0, t1 = float(ts[k]), float(ts[k + 1])
+            hits.append(t0 + (t1 - t0) * a / (a - b))
     if not hits:
         return None
     return max(hits) if last else min(hits)
@@ -359,15 +352,14 @@ _cells = st.one_of(
     horizon=st.sampled_from((1.0, 3.0, 10.0)),
     inverted=st.booleans(),
     theta=st.sampled_from((0.0, 1.0, 2.0)),
-    tol=st.sampled_from((0.0, 0.05, 0.5)),
 )
 # The root of the cell (185, -1e-300) rounds past its end, after the root
 # of the next cell.
 @example(row=[0.5, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False,
-         theta=1.0, tol=0.0)
+         theta=1.0)
 @example(row=[0.0, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False,
-         theta=0.0, tol=0.0)
-def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, theta, tol):
+         theta=0.0)
+def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, theta):
     d = np.array(row)
     if sign == "positive":
         d = np.abs(d) + 0.25
@@ -380,12 +372,45 @@ def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, t
     ts, vs = np.asarray(w.times), np.asarray(w.values)
     assert last_line_visit(w, theta) == _scan(ts, vs - line_value(theta, ts), last=True)
     other = dataclasses.replace(w, values=np.zeros(vs.size))
-    assert first_meeting(w, other, tol=tol) == _scan(ts, vs, tol=tol)
-    assert first_meeting(w, other, tol=0.0) == _scan(ts, vs)
+    assert first_meeting(w, other) == _scan(ts, vs)
     dgrid = DriftGrid((0.0, 1.0, 2.0))
     assert first_passage_process(w, dgrid) == tuple(
         _scan(ts, vs - 0.5 * th) for th in dgrid.thetas
     )
+
+
+def _frag_rule(ts, vs, theta):
+    """One drift's entry of the fragmentation process, written out: inf and
+    censored at theta = 0 or for a stem ending above the line, otherwise
+    the last visit, censored past the penultimate time."""
+    d = [v - 0.5 * theta * t for t, v in zip(ts.tolist(), vs)]
+    if theta == 0.0 or d[-1] > 0:
+        return math.inf, True
+    visit = _scan(ts, d, last=True)
+    return visit, visit > float(ts[-2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(st.one_of(st.none(), _cells), min_size=1, max_size=40),
+    horizon=st.sampled_from((1.0, 3.0, 10.0)),
+    thetas=st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 8.0)), min_size=1, max_size=5,
+                    unique=True),
+    on=st.integers(0, 4),
+)
+# theta = 0 and a stem ending above the line; a stem ending exactly on it.
+@example(cells=[1.0], horizon=1.0, thetas=[0.0, 1.0], on=0)
+@example(cells=[-1.0, None], horizon=3.0, thetas=[0.0, 1.0, 2.0], on=1)
+def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on):
+    # A None cell puts the stem on the line of one drift of the grid, so
+    # stems touch lines and end exactly on them.
+    thetas = sorted(thetas)
+    line = thetas[on % len(thetas)]
+    grid = TimeGrid(horizon, len(cells))
+    ts = grid.times()
+    vs = [0.0] + [line_value(line, t) if c is None else c for t, c in zip(ts[1:].tolist(), cells)]
+    fp = fragmentation_process(Path(grid, np.array(vs)), DriftGrid(tuple(thetas)))
+    assert list(zip(fp.times, fp.censored)) == [_frag_rule(ts, vs, th) for th in thetas]
 
 
 def test_meeting_duality_single_pair():
@@ -399,7 +424,7 @@ def test_meeting_duality_single_pair():
     p2 = Path(grid, base + 0.8 * (t - m))
     i1 = invert_time(p1, 0.05)
     i2 = invert_time(p2, 0.05)
-    met = first_meeting(i1, i2, tol=0.0)
+    met = first_meeting(i1, i2)
     assert met is not None
     assert abs(met - 1.0 / m) < 1e-9
 

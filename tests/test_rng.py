@@ -78,6 +78,16 @@ def test_rejects_out_of_range_keys(seed, stream_id):
         RngStream(seed, stream_id)
 
 
+@pytest.mark.parametrize("seed,stream_id,name", [
+    (2.9, 0, "seed"), (1.0, 0, "seed"), ("3", 0, "seed"),
+    (0, 1.5, "stream_id"), (0, None, "stream_id"),
+])
+def test_rejects_non_integer_keys(seed, stream_id, name):
+    # Truncation would give RngStream(2.9) the words of seed 2.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        RngStream(seed, stream_id)
+
+
 u64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
