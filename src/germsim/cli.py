@@ -18,38 +18,36 @@ from . import __version__
 from .coupling import germ_transform, sample_coupled_pair, validate_theta
 from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
 from .rng import _check_int, _check_u64, substream
-from .stats import _check_alpha, reports_to_json
+from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A run command's configuration.  Each owner validates and converts its
+    fields at construction, so the manifest records the values that run."""
+
     seed: int = 0
     n_paths: int = 1
     n_steps: int = 1_000
     horizon: float = 1.0
     thetas: tuple[float, ...] = field(default_factory=tuple)
-    alpha: float = 0.001
     out_dir: FsPath | None = None
     fmt: str = "csv"
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "seed", _check_u64("seed", self.seed))
-            object.__setattr__(self, "n_steps", self.grid().n_steps)
-            _check_alpha(self.alpha)
-            object.__setattr__(self, "n_paths", _check_int("n_paths", self.n_paths))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "seed", _check_u64("seed", self.seed))
+        grid = self.grid()
+        object.__setattr__(self, "horizon", grid.horizon)
+        object.__setattr__(self, "n_steps", grid.n_steps)
+        thetas = DriftGrid(self.thetas).thetas if len(self.thetas) else ()
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "n_paths", _check_int("n_paths", self.n_paths))
         if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt}")
+            raise ValueError(f"format must be csv or json, got {self.fmt}")
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.n_steps)
@@ -63,7 +61,6 @@ class RunConfig:
             "n_steps": self.n_steps,
             "horizon": self.horizon,
             "thetas": list(self.thetas),
-            "alpha": self.alpha,
             "format": self.fmt,
         }
         if extra:
@@ -81,9 +78,8 @@ def _make_dir(out: FsPath) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(
-            f"out: cannot create directory {str(out)!r}: {exc.strerror or exc}"
-        ) from None
+        raise ValueError(f"out: cannot create directory {str(out)!r}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def _out_dir(cfg: RunConfig) -> FsPath:
@@ -91,7 +87,7 @@ def _out_dir(cfg: RunConfig) -> FsPath:
     its manifest first, so the directory reads as incomplete until this run
     commits its own manifest and holds no file this run did not write."""
     if cfg.out_dir is None:
-        raise ConfigError("out_dir is required")
+        raise ValueError("out_dir is required")
     out = FsPath(cfg.out_dir)
     _make_dir(out)
     for pattern in _OUTPUTS:
@@ -147,7 +143,7 @@ def cmd_sample(cfg: RunConfig) -> FsPath:
 
 def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
     """Per path: stem CSV, coupled branch CSV, and a fragmentation-time table."""
-    validate_theta(theta)
+    theta = validate_theta(theta)
     out = _out_dir(cfg)
     grid = cfg.grid()
     rows = []
@@ -207,24 +203,22 @@ def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
     try:
         path = read_csv(source)
     except OSError as exc:
-        raise ConfigError(f"in: cannot read {source!r}: {exc.strerror or exc}") from None
+        raise ValueError(f"in: cannot read {source!r}: {exc.strerror or exc}") from None
     branch = germ_transform(path, u, theta)
     try:
         write_csv(branch, destination)
     except OSError as exc:
-        raise ConfigError(f"out: cannot write {destination!r}: {exc.strerror or exc}") from None
+        raise ValueError(f"out: cannot write {destination!r}: {exc.strerror or exc}") from None
 
 
-def cmd_verify(cfg: RunConfig, scale: float, out_path: FsPath | None) -> int:
+def cmd_verify(cfg: VerifyConfig, out_path: FsPath | None) -> int:
     """Run the verification suite; exit status 0 iff every check passes.
 
     The output directory is created first, so an unusable ``--out`` fails
     before the suite runs."""
     if out_path is not None:
         _make_dir(out_path.parent)
-    reports = run_verification(
-        VerifyConfig(seed=cfg.seed, alpha=cfg.alpha, scale=scale)
-    )
+    reports = run_verification(cfg)
     text = reports_to_json(reports)
     if out_path is not None:
         _write_text(out_path, text)
@@ -235,38 +229,42 @@ def cmd_verify(cfg: RunConfig, scale: float, out_path: FsPath | None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+_RUN_COMMANDS = {"sample": cmd_sample, "bouquet": cmd_bouquet, "frag-process": cmd_frag_process}
+
+
 def _parse_thetas(raw: str | None) -> tuple[float, ...]:
     if not raw:
         return ()
     try:
         return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
     except ValueError:
-        raise ConfigError(f"thetas must be a comma-separated list of numbers, got {raw!r}") from None
+        raise ValueError(f"thetas must be a comma-separated list of numbers, got {raw!r}") from None
 
 
-def _run_parser(sub, name: str, summary: str, *, grid: bool = True, table: bool = True):
-    """Subcommand taking ``--seed`` and ``--out``, the grid flags ``--paths``,
-    ``--steps`` and ``--horizon`` if ``grid``, and ``--format`` if ``table``.
-    A flag left out takes its :class:`RunConfig` default."""
+def _run_parser(sub, name: str, summary: str, *, table: bool = True):
+    """Subcommand taking ``--seed``, ``--out``, the grid flags ``--paths``,
+    ``--steps`` and ``--horizon``, and ``--format`` if ``table``.  A flag
+    left out takes its :class:`RunConfig` default."""
     p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--out", dest="out_dir", type=str, help="output directory")
-    if grid:
-        p.add_argument("--paths", dest="n_paths", type=int, help="number of paths (default 1)")
-        p.add_argument("--steps", dest="n_steps", type=int, help="grid steps (default 1000)")
-        p.add_argument("--horizon", type=float, help="time horizon T (default 1)")
+    p.add_argument("--paths", dest="n_paths", type=int, help="number of paths (default 1)")
+    p.add_argument("--steps", dest="n_steps", type=int, help="grid steps (default 1000)")
+    p.add_argument("--horizon", type=float, help="time horizon T (default 1)")
     if table:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        help="fragmentation table format (default csv)")
     return p
 
 
-def _config(args) -> RunConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+def _config(cls, args):
+    """A ``cls`` from the flags given, each under its field's name."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
     if "thetas" in given:
         given["thetas"] = _parse_thetas(given["thetas"])
-    given["out_dir"] = FsPath(given["out_dir"]) if given.get("out_dir") else None
-    return RunConfig(**given)
+    if "out_dir" in given:
+        given["out_dir"] = FsPath(given["out_dir"]) if given["out_dir"] else None
+    return cls(**given)
 
 
 def main(argv=None) -> int:
@@ -293,29 +291,25 @@ def main(argv=None) -> int:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--out", type=str, required=True)
 
-    p = _run_parser(sub, "verify", "run the verification suite", grid=False, table=False)
+    p = sub.add_parser("verify", help="run the verification suite",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--alpha", type=float, help="test level (default 0.001)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="sample-count multiplier (1.0 = full suite)")
+    p.add_argument("--scale", type=float, help="sample-count multiplier (default 1)")
+    p.add_argument("--out", type=str, default=None, help="output directory")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "germ-transform":
             cmd_germ_transform(args.source, args.theta, args.u, args.out)
-            return 0
-        cfg = _config(args)
-        if args.command == "sample":
-            cmd_sample(cfg)
-        elif args.command == "couple":
-            cmd_couple(cfg, args.theta)
-        elif args.command == "bouquet":
-            cmd_bouquet(cfg)
-        elif args.command == "frag-process":
-            cmd_frag_process(cfg)
         elif args.command == "verify":
-            out = cfg.out_dir / "verify_report.json" if cfg.out_dir else None
-            return cmd_verify(cfg, args.scale, out)
-    except (ConfigError, ValueError, OSError) as exc:
+            out = FsPath(args.out) / "verify_report.json" if args.out else None
+            return cmd_verify(_config(VerifyConfig, args), out)
+        elif args.command == "couple":
+            cmd_couple(_config(RunConfig, args), args.theta)
+        else:
+            _RUN_COMMANDS[args.command](_config(RunConfig, args))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -114,8 +114,9 @@ def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray
     return np.where(np.arange(times.size) >= start[:, None], theta * times - rows, rows)
 
 
-def validate_theta(theta: float) -> None:
-    """Reject a drift the germ transform is not defined for."""
+def validate_theta(theta: float) -> float:
+    """``theta`` as a Python float; a drift the germ transform is not
+    defined for is rejected."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if theta < 0:
@@ -123,6 +124,7 @@ def validate_theta(theta: float) -> None:
             "theta must be >= 0; for a negative drift use the negation "
             "symmetry: negate germ_transform(-w, u, -theta)"
         )
+    return float(theta)
 
 
 def _log_likelihood_ratio(w_end, theta: float, horizon: float):

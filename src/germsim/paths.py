@@ -193,7 +193,7 @@ def read_csv(source) -> Path:
 
     Round-trip identity holds bit-exactly: ``read_csv(write_csv(p)) == p``.
     Blank lines are skipped.  Every time must lie within
-    ``1e-9 * max(1, T)`` of the uniform grid on [0, T], T the last time.
+    ``1e-9 * max(1, T)`` of the uniform grid on [0, T], T > 0 the last time.
     Errors cite the 1-based line number of the offending row.
     """
     if hasattr(source, "read"):
@@ -225,6 +225,9 @@ def read_csv(source) -> Path:
         raise CsvFormatError(
             f"line {_line_of_row(lines, 0)}: grid must start at t=0, got {float(ts[0])!r}"
         )
+    if ts[-1] <= 0.0:
+        raise CsvFormatError(f"line {_line_of_row(lines, ts.size - 1)}: last time (the "
+                             f"horizon) must be > 0, got {float(ts[-1])!r}")
     grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
     tol = 1e-9 * max(1.0, grid.horizon)
     off = np.flatnonzero(np.abs(ts - grid.times()) > tol)

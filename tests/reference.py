@@ -104,6 +104,10 @@ def read_csv_text(text):
         raise CsvFormatError("need at least 2 grid rows (n_steps >= 1)")
     if rows[0][1] != 0.0:
         raise CsvFormatError(f"line {rows[0][0]}: grid must start at t=0, got {rows[0][1]!r}")
+    if rows[-1][1] <= 0.0:
+        raise CsvFormatError(
+            f"line {rows[-1][0]}: last time (the horizon) must be > 0, got {rows[-1][1]!r}"
+        )
     grid = TimeGrid(horizon=rows[-1][1], n_steps=len(rows) - 1)
     tol = 1e-9 * max(1.0, grid.horizon)
     for (lineno, t, _), want in zip(rows, grid.times().tolist()):

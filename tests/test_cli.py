@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from germsim import cli
-from germsim.cli import ConfigError, RunConfig, main
+from germsim.cli import RunConfig, cmd_couple, main
 from germsim.paths import TimeGrid, read_csv
 from germsim.rng import RngStream
 from germsim.stats import ks_threshold
+from germsim.subordinator import DriftGrid
 from germsim.verify import VerifyConfig
 
 
@@ -19,31 +20,39 @@ def _read(path):
 
 
 def test_run_config_validation_names_fields():
-    with pytest.raises(ConfigError, match="n_steps"):
+    with pytest.raises(ValueError, match="n_steps"):
         RunConfig(n_steps=0)
-    with pytest.raises(ConfigError, match="n_paths"):
+    with pytest.raises(ValueError, match="n_paths"):
         RunConfig(n_paths=0)
-    with pytest.raises(ConfigError, match="horizon"):
+    with pytest.raises(ValueError, match="horizon"):
         RunConfig(horizon=-1.0)
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=-1)
-    with pytest.raises(ConfigError, match="alpha"):
-        RunConfig(alpha=2.0)
+    with pytest.raises(ValueError, match="thetas"):
+        RunConfig(thetas=(2.0, 1.0))
+
+
+def _raises_the_owner_error(config, kwargs, owner):
+    # Each rule lives with its owner; a config raises the owner's error as is.
+    with pytest.raises(ValueError) as expected:
+        owner()
+    with pytest.raises(ValueError) as got:
+        config(**kwargs)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
 @pytest.mark.parametrize("kwargs,owner", [
     ({"seed": -1}, lambda: RngStream(-1)),
-    ({"alpha": 2.0}, lambda: ks_threshold(1, 2.0)),
     ({"n_steps": 0}, lambda: TimeGrid(1.0, 0)),
     ({"horizon": float("nan")}, lambda: TimeGrid(float("nan"), 4)),
+    ({"thetas": (2.0, 1.0)}, lambda: DriftGrid((2.0, 1.0))),
 ])
 def test_run_config_raises_the_owner_message(kwargs, owner):
-    # Each rule lives with its owner; RunConfig re-raises the owner's message.
-    with pytest.raises(ValueError) as expected:
-        owner()
-    with pytest.raises(ConfigError) as got:
-        RunConfig(**kwargs)
-    assert str(got.value) == str(expected.value)
+    _raises_the_owner_error(RunConfig, kwargs, owner)
+
+
+def test_verify_config_raises_the_owner_message():
+    _raises_the_owner_error(VerifyConfig, {"alpha": 2.0}, lambda: ks_threshold(1, 2.0))
 
 
 @pytest.mark.parametrize("kwargs,field", [
@@ -67,7 +76,7 @@ def test_verify_config_validated_at_construction(kwargs, field):
 def test_run_config_rejects_non_integer_counts(name, bad):
     # Truncation would run seed 2 for 2.5, and n_paths = 2.5 would fail
     # only later, in cmd_sample, with a bare TypeError.
-    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         RunConfig(**{name: bad})
 
 
@@ -76,6 +85,19 @@ def test_configs_store_python_ints():
     assert [type(v) for v in (cfg.seed, cfg.n_paths, cfg.n_steps)] == [int, int, int]
     assert json.loads(json.dumps(cfg.manifest("sample")))["seed"] == 5
     assert type(VerifyConfig(seed=np.uint64(3)).seed) is int
+
+
+@pytest.mark.parametrize("kwargs,key,want", [
+    ({"horizon": 1}, "horizon", 1.0),
+    ({"horizon": np.float32(1.5)}, "horizon", 1.5),
+    ({"thetas": (1, 2)}, "thetas", [1.0, 2.0]),
+    ({"thetas": np.array([0.5, 1.0], dtype=np.float32)}, "thetas", [0.5, 1.0]),
+])
+def test_run_config_manifest_records_the_floats_that_run(kwargs, key, want):
+    # The manifest records the owner's float, which JSON can write: 1.0, not 1.
+    doc = RunConfig(**kwargs).manifest("x")
+    assert json.dumps(doc[key]) == json.dumps(want)
+    json.dumps(doc)
 
 
 def test_sample_writes_paths_and_manifest(tmp_path):
@@ -250,6 +272,17 @@ def test_couple_frag_times_positive(tmp_path):
         assert cell == "inf" or float(cell) > 0.0
 
 
+@pytest.mark.parametrize("theta", [2, np.float32(2.0)])
+def test_couple_records_the_float_it_validated(tmp_path, theta):
+    # Same run as theta = 2.0, manifest included: "theta": 2.0, not 2, and
+    # never a float32 that JSON cannot write after the paths are on disk.
+    want, got = tmp_path / "want", tmp_path / "got"
+    cmd_couple(RunConfig(n_paths=2, n_steps=8, out_dir=want), 2.0)
+    cmd_couple(RunConfig(n_paths=2, n_steps=8, out_dir=got), theta)
+    assert _digests(got) == _digests(want)
+    assert json.loads((got / "manifest.json").read_text())["theta"] == 2.0
+
+
 def test_couple_rejects_negative_theta(tmp_path, capsys):
     rc = main(["couple", "--theta", "-1.0", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -370,6 +403,19 @@ def test_verify_rejects_infinite_scale(capsys):
     assert "scale must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--scale", "inf"), ("--scale", "0"), ("--alpha", "2"), ("--seed", "-1"),
+])
+def test_verify_bad_flag_exits_2_before_out_exists(tmp_path, capsys, monkeypatch, flag, value):
+    suites = []
+    monkeypatch.setattr(cli, "run_verification", lambda cfg: suites.append(cfg) or [])
+    out = tmp_path / "report"
+    assert main(["verify", flag, value, "--out", str(out)]) == 2
+    assert f"{flag[2:]} must" in capsys.readouterr().err
+    assert not out.exists()
+    assert suites == []
+
+
 def test_verify_smoke_schema_and_determinism(tmp_path):
     args = ["verify", "--seed", "1", "--scale", "0.02"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -406,7 +452,7 @@ GOLDEN_RUNS = {
 }
 GOLDEN_SHA256 = {
     "sample": {
-        "manifest.json": "3d4471154a380b9104ecaa054853e98a806de585d7769b971022031f341d7473",
+        "manifest.json": "115e6e5af3a5b45be9141606c2fbad29215695dc333e49a6413ff58368ab29f0",
         "path_00000.csv": "ac6827c6b3415f686dabc3ccb068432e6340cdfe01363ce163050386792ac0a2",
         "path_00001.csv": "8d75e72f94b96dc19a02e1d963da099b57b882623108df4fcde1fd4f816970d4",
     },
@@ -414,7 +460,7 @@ GOLDEN_SHA256 = {
         "branch_00000.csv": "6a58bd993c3a138fd2086b7df7348e7f137a4da0fd45e14921b1471387bd88dc",
         "branch_00001.csv": "ce4cedc6d65af661878d68b3cfab3a0916aab71724a090d756da269d1ae01c63",
         "frag_times.csv": "9e9c221a9015a9a2d6a212f06bc6cfa4fcc664b082360f1afee8ffe9a85566d7",
-        "manifest.json": "ccecb2918aba632dfbac33973da0f927ef67c95339fc1a79bf7095fae8f4a906",
+        "manifest.json": "c2e2851b91ca07c2463563e6d8895ec165260f289400a513c707008af70392c9",
         "stem_00000.csv": "286812d75b805afff3651ab22634a7ab138c16b2f315bb46928c5161ef1d1740",
         "stem_00001.csv": "66004d620df90c34365500b59aa7125b3f5aed02e6677699da5216b48d744de6",
     },
@@ -422,7 +468,7 @@ GOLDEN_SHA256 = {
         "branch_00000.csv": "f514712e345d2c735e95efe67c1634a06e8b45de884362c51edbf6fa83e8d453",
         "branch_00001.csv": "03612c6148903fd160c9ef19a701f714238763f4bb5158114ed2a37c228ba2cc",
         "frag_times.json": "6e0bc0c2982dd5517fd5f4c646f8380ef8cb27d3e1bb8885e989be28086d0636",
-        "manifest.json": "26a4e71d0abc194ef6d7b44e347d19a0c22caee89296b4b06c9d224cd78b22fe",
+        "manifest.json": "4221bd2cfada1121eb62462c132dc99b69c4072a642f1f6728c50e42cb9af3df",
         "stem_00000.csv": "f514712e345d2c735e95efe67c1634a06e8b45de884362c51edbf6fa83e8d453",
         "stem_00001.csv": "03612c6148903fd160c9ef19a701f714238763f4bb5158114ed2a37c228ba2cc",
     },
@@ -431,13 +477,13 @@ GOLDEN_SHA256 = {
         "branch_00000_theta1.csv": "4036053fba85e36674af9723225b2d66e4044056c89c1b075ccd2d644519fff3",
         "branch_00000_theta2.csv": "056bb1c5a391881f849014defdb6bd292a2b4ee6245a4715a3b38af7c1eb5d80",
         "frag_process_00000.csv": "57c3a1be19aa84bfac806ca2ce5934e4e3047f7e9a6305227cc4c0a2a93acb12",
-        "manifest.json": "908d79c052358c4dcc4086109ed10792730aa30e802b438f1f32965646803305",
+        "manifest.json": "07c4c13a863a36cfc156a5aa645fa46bfa0a1fd52882d30d75a6d447eaa1e184",
         "stem_00000.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
     },
     "frag_process": {
         "frag_process_00000.csv": "d7de7d2133dc6938ab44470486776a57f52930efc26cdb7503ff6159adf85c57",
         "frag_process_00001.csv": "aa1f6e72237297ec8284519acbe4464ca60adbd388e2027564c6d1fa429e5b3e",
-        "manifest.json": "e0236583b3d0220248e8ed61d4f7ca5319420cbf8c126e5d92e69dc7bc409452",
+        "manifest.json": "3634d3789f2c2d7269a84c5d0a4e2f096516896b97c33e2f161078cc06093c43",
     },
     "bouquet_json": {
         "branch_00000_theta0.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
@@ -448,14 +494,14 @@ GOLDEN_SHA256 = {
         "branch_00001_theta2.csv": "1600412e4669d4a6be0eb73f4f1621f389bf71a4f7b382c91630b4a367931240",
         "frag_process_00000.json": "96a22670c60641b1f1460390743440d99086e26624da5c3ac5d85ff882152998",
         "frag_process_00001.json": "e4bcf630001a7014bfbf06b24daa83a9990de50b65424a5832e71204b9208d11",
-        "manifest.json": "fdddbfb974e0f352d6f0dc6b9d0706ead7d2e3680e540cb182c4445874f0ea52",
+        "manifest.json": "56c616e9fb5cbf5e6a7559fbfc0f4c6bd187ad051ed81154105d997125fa7e8b",
         "stem_00000.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
         "stem_00001.csv": "4bb7bae785b7e4564eb8286e1c1621d7fa6701ac8741649f429035e207218e26",
     },
     "frag_process_json": {
         "frag_process_00000.json": "c285c07af27111938c329b4e614f7f6aadca115c8509fd0b4f0e781ef6611b4e",
         "frag_process_00001.json": "043179f6f243103d77211a74c63e4a041ad066b6778c91d433d2435c620445c5",
-        "manifest.json": "1ae9a50598ca9258f5245048cafebea2c1e551a753289176c39ffe17ce6d5968",
+        "manifest.json": "799a69126eeb13ab624b32ac344bbde5e8b246354df1da702a6122a13301972f",
     },
     "germ_transform": {
         "keep.csv": "8d75e72f94b96dc19a02e1d963da099b57b882623108df4fcde1fd4f816970d4",

@@ -176,6 +176,15 @@ def test_csv_grid_start_error_cites_physical_line():
         read_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text,line", [
+    ("t,value\n0,0\n0,1\n", 3),
+    ("t,value\n0,0\n\n-1,1\n\n", 4),
+])
+def test_csv_last_time_not_positive_cites_its_line(text, line):
+    with pytest.raises(CsvFormatError, match=f"^line {line}: last time .* must be > 0"):
+        read_csv(io.StringIO(text))
+
+
 def test_csv_grid_deviation_cites_physical_line():
     text = "t,value\n0.0,0.0\n\n0.4,1.0\n1.0,2.0\n"
     with pytest.raises(CsvFormatError, match="^line 4: time 0.4 deviates"):
@@ -264,7 +273,9 @@ _HOSTILE = {
     "single row after blank": "t,value\n\n0.0,0.0\n\n",
     "within grid tolerance": "t,value\n0,0\n0.5000000001,1\n1,2\n",
     "zero horizon": "t,value\n0,0\n0,0\n",
+    "zero horizon, two values": "t,value\n0,0\n0,1\n",
     "negative horizon": "t,value\n0,0\n-1,1\n",
+    "negative horizon after blank lines": "t,value\n0,0\n\n0.5,1\n\n-1,1\n\n",
     "signed zeros": "t,value\n-0.0,-0.0\n1,0.0\n",
 }
 
