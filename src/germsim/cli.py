@@ -84,14 +84,15 @@ def _make_dir(out: FsPath) -> None:
 
 def _out_dir(cfg: RunConfig) -> FsPath:
     """Create the output directory and delete every output of an earlier run,
-    its manifest first, so the directory reads as incomplete until this run
-    commits its own manifest and holds no file this run did not write."""
+    and the ``.tmp`` file of an interrupted write of each, its manifest
+    first, so the directory reads as incomplete until this run commits its
+    own manifest and holds no file this run did not write."""
     if cfg.out_dir is None:
         raise ValueError("out_dir is required")
     out = FsPath(cfg.out_dir)
     _make_dir(out)
     for pattern in _OUTPUTS:
-        for old in out.glob(pattern):
+        for old in (*out.glob(pattern), *out.glob(f"{pattern}.tmp")):
             old.unlink()
     return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DriftedLaw, IrregularPath, Path, line_value, sample_bm_rows
+from .paths import DriftedLaw, IrregularPath, Path, _real, line_value, sample_bm_rows
 from .rng import RngStream, uniform01_from_words
 
 
@@ -79,16 +79,11 @@ def last_line_visit(w, theta: float) -> float | None:
 def reflect_after_last_visit(w: Path, theta: float) -> Path:
     """Mirror the path across the line theta * t / 2 after its last grid visit.
 
-    For theta >= 0 this is a single backward sweep: every trailing grid
-    point strictly below the line is replaced by theta * t - w(t), and the
-    sweep stops at the last grid point at or above the line; everything
-    before it is copied bit-exactly.  Returns ``w`` itself when nothing is
-    mirrored.  Negative theta is defined through the exact symmetry
-    ``reflect(w, theta) == -reflect(-w, -theta)``.
+    A single backward sweep: every trailing grid point strictly below the
+    line is replaced by theta * t - w(t), and the sweep stops at the last
+    grid point at or above the line; everything before it is copied
+    bit-exactly.  Returns ``w`` itself when nothing is mirrored.
     """
-    if theta < 0:
-        flipped = Path(w.grid, -w.values)
-        return Path(w.grid, -reflect_after_last_visit(flipped, -theta).values)
     validate_theta(theta)
     ts, row = w.times, w.values[None]
     start = _reflection_start(ts, row, theta)
@@ -117,14 +112,17 @@ def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray
 def validate_theta(theta: float) -> float:
     """``theta`` as a Python float; a drift the germ transform is not
     defined for is rejected."""
-    if not math.isfinite(theta):
+    value = _real(theta)
+    if value is None:
+        raise ValueError(f"theta must be a real number, got {theta!r}")
+    if not math.isfinite(value):
         raise ValueError(f"theta must be finite, got {theta}")
-    if theta < 0:
+    if value < 0:
         raise ValueError(
             "theta must be >= 0; for a negative drift use the negation "
             "symmetry: negate germ_transform(-w, u, -theta)"
         )
-    return float(theta)
+    return value
 
 
 def _log_likelihood_ratio(w_end, theta: float, horizon: float):
@@ -140,15 +138,6 @@ def _keeps(u: float, log_ratio: float) -> bool:
     last ulp.
     """
     return log_ratio >= 0.0 or u <= math.exp(log_ratio)
-
-
-def endpoint_likelihood_ratio(w: Path, theta: float) -> float:
-    """Density exp(theta * w(T) - theta^2 * T / 2) of the drifted endpoint
-    law with respect to the driftless one; ``inf`` where exp overflows."""
-    try:
-        return math.exp(_log_likelihood_ratio(float(w.values[-1]), theta, w.horizon))
-    except OverflowError:
-        return math.inf
 
 
 def germ_transform(w: Path, u: float, theta: float) -> Path:

