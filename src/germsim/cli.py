@@ -8,9 +8,11 @@ reproduces every output byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Sized
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
@@ -41,7 +43,8 @@ class RunConfig:
         grid = self.grid()
         object.__setattr__(self, "horizon", grid.horizon)
         object.__setattr__(self, "n_steps", grid.n_steps)
-        thetas = DriftGrid(self.thetas).thetas if len(self.thetas) else ()
+        no_drifts = isinstance(self.thetas, Sized) and len(self.thetas) == 0
+        thetas = () if no_drifts else DriftGrid(self.thetas).thetas
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "n_paths", _check_int("n_paths", self.n_paths))
         if self.n_paths < 1:
@@ -268,7 +271,10 @@ def _config(cls, args):
     return cls(**given)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`, built once per process; parsing
+    leaves it unchanged, so every call reuses it."""
     parser = argparse.ArgumentParser(
         prog="germsim",
         description="Simulate and verify germ couplings of drifted Brownian motions.",
@@ -298,8 +304,11 @@ def main(argv=None) -> int:
     p.add_argument("--alpha", type=float, help="test level (default 0.001)")
     p.add_argument("--scale", type=float, help="sample-count multiplier (default 1)")
     p.add_argument("--out", type=str, default=None, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "germ-transform":
             cmd_germ_transform(args.source, args.theta, args.u, args.out)

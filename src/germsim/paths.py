@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
 import pathlib
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -29,9 +30,16 @@ def _frozen_view(values) -> np.ndarray:
 
 def _real(value) -> float | None:
     """``value`` as a Python float if it is a real number, a 0-d array
-    counting as its scalar; ``None`` otherwise."""
+    counting as its scalar; ``None`` otherwise.  A real number beyond the
+    range of a double, such as ``10**400``, is ``±inf``, so each owner
+    rejects it as not finite."""
     scalar = value[()] if isinstance(value, np.ndarray) else value
-    return float(scalar) if isinstance(scalar, numbers.Real) else None
+    if not isinstance(scalar, numbers.Real):
+        return None
+    try:
+        return float(scalar)
+    except OverflowError:
+        return math.inf if scalar > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,58 @@ def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.nda
     return vals
 
 
-@functools.lru_cache(maxsize=1)
-def _csv_template(grid: TimeGrid) -> str:
+# Bytes of template text that write_csv keeps between calls.  A template is
+# ASCII, one byte per character, and takes at most 26 B per grid point: a
+# 17-digit repr with an exponent, then ",%r\n".  So 8 MiB holds the
+# templates of at least 30 grids of 10^4 steps, or of 3 grids of 10^5 steps,
+# while a process that has imported numpy and scipy already holds about 60 MB.
+_TEMPLATE_CACHE_BYTES = 8 << 20
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _TemplateCache:
+    """:func:`_format_template` of each grid, computed once per process while
+    it is in use.  Like ``functools.lru_cache``, but bounded by size: the
+    most recently used templates are kept while their lengths add up to at
+    most ``maxsize`` bytes, and the latest one is always kept, so the files
+    of a run on a grid larger than ``maxsize`` still share one template."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, grid: TimeGrid) -> str:
+        with self._lock:
+            text = self._texts.pop(grid, None)
+            if text is None:
+                self._misses += 1
+                text = _format_template(grid)
+                self._size += len(text)
+            else:
+                self._hits += 1
+            self._texts[grid] = text  # dicts keep insertion order: newest last
+            while self._size > self.maxsize and len(self._texts) > 1:
+                self._size -= len(self._texts.pop(next(iter(self._texts))))
+            return text
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, self._size)
+
+    def cache_clear(self) -> None:
+        self._texts: dict[TimeGrid, str] = {}
+        self._size = self._hits = self._misses = 0
+
+
+def _format_template(grid: TimeGrid) -> str:
     """The text of :func:`write_csv` for ``grid``: the header, then one
-    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value.
-    Every file of a run shares its grid, so the time column is formatted
-    once per grid, not once per file."""
+    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value."""
     times = grid.times().tolist()
     return "t,value\n" + ("%r,%%r\n" * len(times)) % tuple(times)
+
+
+_csv_template = _TemplateCache(_TEMPLATE_CACHE_BYTES)
 
 
 def write_csv(path: Path, destination) -> None:
@@ -193,6 +245,10 @@ def _write_text(destination, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# Rows that read_csv converts at a time: about 150 kB of cell strings.
+_READ_CHUNK_ROWS = 1024
+
+
 def read_csv(source) -> Path:
     """Parse a path CSV written by :func:`write_csv`.
 
@@ -209,16 +265,19 @@ def read_csv(source) -> Path:
     if not lines or lines[0].strip() != "t,value":
         raise CsvFormatError("line 1: expected header 't,value'")
     body = list(filter(str.strip, islice(lines, 1, None)))
-    # Check and convert all rows at once, with no Python step per row; only
-    # a text holding a row that is not two finite numbers is scanned row by
-    # row, to find the line the error cites.
+    # Check and convert all rows with no Python step per row; only a text
+    # holding a row that is not two finite numbers is scanned row by row, to
+    # find the line the error cites.  Every row holds one comma, so joining
+    # rows with commas and splitting there gives their cells in order; a
+    # chunk of rows at a time bounds the cell strings alive at once.
     try:
         if set(map(str.count, body, repeat(","))) - {1}:
             raise ValueError
-        cells = np.fromiter(
-            map(float, chain.from_iterable(map(str.split, body, repeat(",")))),
-            dtype=np.float64, count=2 * len(body),
-        )
+        cells = np.empty(2 * len(body))
+        for start in range(0, len(body), _READ_CHUNK_ROWS):
+            chunk = ",".join(body[start:start + _READ_CHUNK_ROWS]).split(",")
+            cells[2 * start:2 * start + len(chunk)] = np.fromiter(
+                map(float, chunk), dtype=np.float64, count=len(chunk))
         if not np.isfinite(cells).all():
             raise ValueError
     except ValueError:

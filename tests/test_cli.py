@@ -46,9 +46,16 @@ def _raises_the_owner_error(config, kwargs, owner):
     ({"n_steps": 0}, lambda: TimeGrid(1.0, 0)),
     ({"horizon": float("nan")}, lambda: TimeGrid(float("nan"), 4)),
     ({"thetas": (2.0, 1.0)}, lambda: DriftGrid((2.0, 1.0))),
+    ({"thetas": None}, lambda: DriftGrid(None)),
+    ({"thetas": 2.0}, lambda: DriftGrid(2.0)),
 ])
 def test_run_config_raises_the_owner_message(kwargs, owner):
     _raises_the_owner_error(RunConfig, kwargs, owner)
+
+
+@pytest.mark.parametrize("empty", [(), [], np.array([])])
+def test_run_config_empty_thetas_mean_no_drifts(empty):
+    assert RunConfig(thetas=empty).thetas == ()
 
 
 def test_verify_config_raises_the_owner_message():
@@ -260,6 +267,40 @@ def test_out_that_is_a_file_exits_2_naming_out(tmp_path, capsys, monkeypatch, ar
     assert "Errno" not in err
     assert suites == []
     assert afile.read_text() == "not a directory\n"
+
+
+def _main_outcome(argv, out, capsys):
+    """Exit status, stdout, stderr and output digests of one ``main`` call."""
+    try:
+        status = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the flags
+        status = exc.code
+    captured = capsys.readouterr()
+    files = _digests(out) if out.is_dir() else None
+    return status, captured.out, captured.err, files
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser.  A good call, a call that exits 2, an argparse
+    # error and a good call that leaves out the first call's flags must each
+    # give what a fresh parser gives.
+    calls = [
+        ["couple", "--seed", "5", "--horizon", "2", "--paths", "2", "--steps", "8",
+         "--theta", "2", "--format", "json"],
+        ["sample", "--steps", "0"],
+        ["couple", "--paths", "x", "--theta", "2"],
+        ["couple", "--paths", "2", "--steps", "8", "--theta", "2"],
+    ]
+    cli._parser.cache_clear()
+    shared = [_main_outcome(argv, tmp_path / "shared" / str(k), capsys)
+              for k, argv in enumerate(calls)]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for k, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        fresh.append(_main_outcome(argv, tmp_path / "fresh" / str(k), capsys))
+    assert [outcome[0] for outcome in shared] == [0, 2, 2, 0]
+    assert shared == fresh
 
 
 def test_couple_zero_drift_branches_equal_stems(tmp_path):

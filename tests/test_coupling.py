@@ -155,6 +155,12 @@ def test_validate_theta_rejects_non_numeric(theta):
         validate_theta(theta)
 
 
+@pytest.mark.parametrize("theta", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_validate_theta_rejects_theta_beyond_double_range(theta):
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        validate_theta(theta)
+
+
 def test_germ_transform_rejects_bad_u():
     w = path_of([0.0, 1.0], horizon=1.0)
     with pytest.raises(ValueError, match="u must"):

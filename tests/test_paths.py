@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import csv_text, read_csv_text
 
+from germsim import paths
 from germsim.paths import (
     CsvFormatError,
     DriftedLaw,
@@ -44,6 +45,12 @@ def test_grid_coerces_numeric_horizon():
 @pytest.mark.parametrize("horizon", ["1.0", None, np.array([1.0]), 1j])
 def test_grid_rejects_non_numeric_horizon(horizon):
     with pytest.raises(ValueError, match="^horizon must be a real number"):
+        TimeGrid(horizon, 2)
+
+
+@pytest.mark.parametrize("horizon", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_grid_rejects_horizon_beyond_double_range(horizon):
+    with pytest.raises(ValueError, match="^horizon must be finite"):
         TimeGrid(horizon, 2)
 
 
@@ -228,6 +235,50 @@ def test_write_csv_alternating_grids_match_reference(n_steps, h1, h2, data):
     for grid in grids * 2:
         values = data.draw(st.lists(csv_values, min_size=n_steps + 1, max_size=n_steps + 1))
         assert _written(Path(grid, np.array(values))) == csv_text(grid, values)
+
+
+def test_template_cache_formats_each_grid_once():
+    # Files on several grids written in turn reuse each grid's template.
+    grids = [TimeGrid(1.0, 50), TimeGrid(10.0, 50), TimeGrid(1.0, 70)]
+    values = {g: np.linspace(-1.0, 1.0, g.n_steps + 1) for g in grids}
+    paths._csv_template.cache_clear()
+    texts = [_written(Path(g, values[g])) for g in grids * 3 + grids[::-1]]
+    assert paths._csv_template.cache_info().misses == len(grids)
+    assert texts == [csv_text(g, values[g].tolist()) for g in grids * 3 + grids[::-1]]
+
+
+def test_template_cache_is_bounded_by_size():
+    # The least recently used templates go once the total passes maxsize;
+    # the latest one stays even when it alone is larger.
+    small, other, large = TimeGrid(1.0, 10), TimeGrid(2.0, 10), TimeGrid(1.0, 100)
+    size = {g: len(paths._format_template(g)) for g in (small, other, large)}
+    cache = paths._TemplateCache(maxsize=size[small] + size[other])
+    for grid in (small, other, small):
+        assert cache(grid) == paths._format_template(grid)
+    assert cache.cache_info() == (1, 2, cache.maxsize, size[small] + size[other])
+    cache(large)
+    assert cache.cache_info().currsize == size[large]
+    cache(other)
+    assert cache.cache_info().currsize == size[other]
+    cache(large)
+    assert cache.cache_info()[:2] == (1, 5)
+
+
+@pytest.mark.parametrize("bad", [None, "x,1", "1,inf", "1,2,3"])
+def test_read_csv_agrees_across_row_chunks(bad):
+    # read_csv converts its rows a chunk at a time: a text of several chunks,
+    # with blank lines, reads like the per-line reader, and a bad row in the
+    # last chunk is cited at its own line.
+    grid = TimeGrid(3.0, 2 * paths._READ_CHUNK_ROWS + 37)
+    rows = [f"{t!r},{v!r}" for t, v in zip(grid.times().tolist(),
+                                            np.sin(np.arange(grid.n_steps + 1)).tolist())]
+    rows[100:100] = ["", " "]
+    if bad is not None:
+        rows[-5] = bad
+    text = "\n".join(["t,value", *rows]) + "\n"
+    got = _outcome(lambda s: read_csv(io.StringIO(s)), text)
+    assert got == _outcome(read_csv_text, text)
+    assert (got[0] == grid) == (bad is None)
 
 
 def _outcome(read, text):

@@ -33,7 +33,7 @@ def test_drift_grid_validation():
     assert DriftGrid((0.0, 1.0)).thetas == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_drift_grid_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="thetas must all be finite"):
         DriftGrid((1.0, bad))
