@@ -86,10 +86,11 @@ def reflect_after_last_visit(w: Path, theta: float) -> Path:
     """
     validate_theta(theta)
     ts, row = w.times, w.values[None]
-    start = _reflection_start(ts, row, theta)
-    if start[0] > w.grid.n_steps:
-        return w
-    return Path(w.grid, _mirror(ts, row, theta, start)[0])
+    with np.errstate(over="ignore"):
+        start = _reflection_start(ts, row, theta)
+        if start[0] > w.grid.n_steps:
+            return w
+        return _branch(w.grid, theta, _mirror(ts, row, theta, start)[0])
 
 
 def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.ndarray:
@@ -107,6 +108,19 @@ def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.n
 def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray) -> np.ndarray:
     """``rows`` with theta * t - w(t) in place of w(t) from each row's ``start`` on."""
     return np.where(np.arange(times.size) >= start[:, None], theta * times - rows, rows)
+
+
+def _branch(grid, theta: float, values: np.ndarray) -> Path:
+    """The branch ``values`` on ``grid`` as a :class:`Path`; a reflected value
+    beyond the range of a double is rejected under ``theta``.
+
+    Callers compute one row with overflow silenced: an overflow in the
+    reflection start compares correctly, and one in the mirror shows here.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"theta = {theta!r} on horizon {grid.horizon!r} takes the "
+                         "reflection theta * t - w(t) beyond the range of a double")
+    return Path(grid, values)
 
 
 def validate_theta(theta: float) -> float:
@@ -185,9 +199,12 @@ def sample_coupled_pair(grid, theta: float, stream: RngStream) -> CoupledPair:
     for the uniform, in that order, so replay of a stream is exact.  The
     branch is the stem itself when nothing is reflected.
     """
-    stems, branches, start = couple_rows(grid, theta, stream._words(grid.n_steps + 1)[None])
+    # A log ratio of inf - inf is nan, which reflects; _branch rejects a
+    # reflection that overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stems, branches, start = couple_rows(grid, theta, stream._words(grid.n_steps + 1)[None])
     stem = Path(grid, stems[0])
-    branch = stem if start[0] > grid.n_steps else Path(grid, branches[0])
+    branch = stem if start[0] > grid.n_steps else _branch(grid, theta, branches[0])
     return CoupledPair(stem, branch, theta, fragmentation_time(stem, branch))
 
 

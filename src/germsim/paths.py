@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
 import pathlib
-import threading
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -169,58 +168,16 @@ def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.nda
     return vals
 
 
-# Bytes of template text that write_csv keeps between calls.  A template is
-# ASCII, one byte per character, and takes at most 26 B per grid point: a
-# 17-digit repr with an exponent, then ",%r\n".  So 8 MiB holds the
-# templates of at least 30 grids of 10^4 steps, or of 3 grids of 10^5 steps,
-# while a process that has imported numpy and scipy already holds about 60 MB.
-_TEMPLATE_CACHE_BYTES = 8 << 20
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _TemplateCache:
-    """:func:`_format_template` of each grid, computed once per process while
-    it is in use.  Like ``functools.lru_cache``, but bounded by size: the
-    most recently used templates are kept while their lengths add up to at
-    most ``maxsize`` bytes, and the latest one is always kept, so the files
-    of a run on a grid larger than ``maxsize`` still share one template."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def __call__(self, grid: TimeGrid) -> str:
-        with self._lock:
-            text = self._texts.pop(grid, None)
-            if text is None:
-                self._misses += 1
-                text = _format_template(grid)
-                self._size += len(text)
-            else:
-                self._hits += 1
-            self._texts[grid] = text  # dicts keep insertion order: newest last
-            while self._size > self.maxsize and len(self._texts) > 1:
-                self._size -= len(self._texts.pop(next(iter(self._texts))))
-            return text
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self.maxsize, self._size)
-
-    def cache_clear(self) -> None:
-        self._texts: dict[TimeGrid, str] = {}
-        self._size = self._hits = self._misses = 0
-
-
-def _format_template(grid: TimeGrid) -> str:
+@functools.lru_cache(maxsize=8)
+def _csv_template(grid: TimeGrid) -> str:
     """The text of :func:`write_csv` for ``grid``: the header, then one
-    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value."""
+    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value.
+
+    Kept for the 8 most recently used grids; a template is ASCII and takes
+    at most 26 B per grid point (a 17-digit repr with an exponent, then
+    ``,%r\\n``)."""
     times = grid.times().tolist()
     return "t,value\n" + ("%r,%%r\n" * len(times)) % tuple(times)
-
-
-_csv_template = _TemplateCache(_TEMPLATE_CACHE_BYTES)
 
 
 def write_csv(path: Path, destination) -> None:

@@ -97,12 +97,12 @@ class RngStream:
 
         Returns a float when ``size`` is None, else an array of ``size`` draws.
         """
-        u = uniform01_from_words(self._words(1 if size is None else int(size)))
+        u = uniform01_from_words(self._words(1 if size is None else _check_int("size", size)))
         return float(u[0]) if size is None else u
 
     def standard_normal(self, size: int | None = None):
         """N(0, 1) draw(s) via the inverse-CDF transform, one word per variate."""
-        z = normal_from_words(self._words(1 if size is None else int(size)))
+        z = normal_from_words(self._words(1 if size is None else _check_int("size", size)))
         return float(z[0]) if size is None else z
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import _first_difference, couple_rows, first_meeting, invert_rows, invert_time
-from .paths import DriftedLaw, Path, TimeGrid, sample_bm, sample_bm_rows
+from .paths import DriftedLaw, Path, TimeGrid, _real, sample_bm, sample_bm_rows
 from .rng import _check_u64, stream_words, substream
 from .stats import (
     Ecdf,
@@ -67,8 +67,10 @@ class VerifyConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_u64("seed", self.seed))
         _check_alpha(self.alpha)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        # 100_000 is the largest sample count the suite scales.
+        scale = _real(self.scale)
+        if scale is None or not (scale > 0 and math.isfinite(100_000 * scale)):
+            raise ValueError(f"scale must be > 0 with 100000 * scale finite, got {self.scale!r}")
 
 
 def _report(cfg: VerifyConfig, name: str, n: int, statistic: float, threshold: float,

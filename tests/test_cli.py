@@ -72,6 +72,9 @@ def test_verify_config_raises_the_owner_message():
     ({"scale": float("inf")}, "scale"),
     # Truncation would run seed 1 under a report that says 1.5.
     ({"seed": 1.5}, "seed"),
+    # The largest scaled count, 100_000 * scale, would overflow.
+    ({"scale": 1e308}, "scale"),
+    ({"scale": 10**400}, "scale"),
 ])
 def test_verify_config_validated_at_construction(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -425,6 +428,24 @@ def test_non_finite_theta_exits_2_before_output(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["couple", "--horizon", "1e308", "--steps", "1", "--theta", "2", "--out", "D"],
+    ["bouquet", "--horizon", "1e308", "--steps", "1", "--thetas", "1,2", "--out", "D"],
+    ["germ-transform", "--in", "in.csv", "--theta", "1e308", "--u", "0.5", "--out", "D"],
+])
+def test_overflowing_reflection_names_theta(tmp_path, capsys, monkeypatch, argv):
+    # theta * t - w(t) overflows a double in each run; tests turn a numpy
+    # warning into an error, so a warning would fail the run before it reports.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.csv").write_text("t,value\n0.0,0.0\n1.0,-1.7e308\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "theta" in err and "horizon" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "D").is_file()
+    assert not (tmp_path / "D" / "manifest.json").exists()
+
+
 def test_germ_transform_rejects_non_finite_theta(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("t,value\n0.0,0.0\n1.0,-0.5\n")
@@ -460,6 +481,7 @@ def test_verify_rejects_infinite_scale(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--scale", "inf"), ("--scale", "0"), ("--alpha", "2"), ("--seed", "-1"),
+    ("--scale", "1e308"),
 ])
 def test_verify_bad_flag_exits_2_before_out_exists(tmp_path, capsys, monkeypatch, flag, value):
     suites = []

@@ -238,30 +238,18 @@ def test_write_csv_alternating_grids_match_reference(n_steps, h1, h2, data):
 
 
 def test_template_cache_formats_each_grid_once():
-    # Files on several grids written in turn reuse each grid's template.
-    grids = [TimeGrid(1.0, 50), TimeGrid(10.0, 50), TimeGrid(1.0, 70)]
-    values = {g: np.linspace(-1.0, 1.0, g.n_steps + 1) for g in grids}
-    paths._csv_template.cache_clear()
-    texts = [_written(Path(g, values[g])) for g in grids * 3 + grids[::-1]]
-    assert paths._csv_template.cache_info().misses == len(grids)
-    assert texts == [csv_text(g, values[g].tolist()) for g in grids * 3 + grids[::-1]]
-
-
-def test_template_cache_is_bounded_by_size():
-    # The least recently used templates go once the total passes maxsize;
-    # the latest one stays even when it alone is larger.
-    small, other, large = TimeGrid(1.0, 10), TimeGrid(2.0, 10), TimeGrid(1.0, 100)
-    size = {g: len(paths._format_template(g)) for g in (small, other, large)}
-    cache = paths._TemplateCache(maxsize=size[small] + size[other])
-    for grid in (small, other, small):
-        assert cache(grid) == paths._format_template(grid)
-    assert cache.cache_info() == (1, 2, cache.maxsize, size[small] + size[other])
-    cache(large)
-    assert cache.cache_info().currsize == size[large]
-    cache(other)
-    assert cache.cache_info().currsize == size[other]
-    cache(large)
-    assert cache.cache_info()[:2] == (1, 5)
+    # Files on several grids written in turn reuse each grid's template
+    # while the cache holds them all.  Past its size the least recently used
+    # go, so ten grids in turn miss on every write, and every file still
+    # carries its own grid's times.
+    few = [TimeGrid(1.0, 50), TimeGrid(10.0, 50), TimeGrid(1.0, 70)]
+    many = [TimeGrid(1.0 + k, 40 + k % 3) for k in range(10)]
+    for order, misses in ((few * 3 + few[::-1], len(few)), (many * 2, 2 * len(many))):
+        values = {g: np.linspace(-1.0, 1.0, g.n_steps + 1) for g in order}
+        paths._csv_template.cache_clear()
+        texts = [_written(Path(g, values[g])) for g in order]
+        assert paths._csv_template.cache_info().misses == misses
+        assert texts == [csv_text(g, values[g].tolist()) for g in order]
 
 
 @pytest.mark.parametrize("bad", [None, "x,1", "1,inf", "1,2,3"])

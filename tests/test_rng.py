@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from germsim import rng
 from germsim.rng import KEYED_MAX_WORDS, RngStream, stream_words, substream
 from germsim.stats import Ecdf, ks_statistic, std_normal_cdf
+from germsim.subordinator import sample_passage_time
 
 
 def test_uniform_range_and_determinism():
@@ -86,6 +87,24 @@ def test_rejects_non_integer_keys(seed, stream_id, name):
     # Truncation would give RngStream(2.9) the words of seed 2.
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         RngStream(seed, stream_id)
+
+
+@pytest.mark.parametrize("draw", [
+    RngStream.uniform01,
+    RngStream.standard_normal,
+    lambda stream, size: sample_passage_time(1.0, stream, size=size),
+], ids=["uniform01", "standard_normal", "sample_passage_time"])
+def test_draw_counts_are_integers(draw):
+    # Truncation would give 2 draws for size 2.5.  A rejected size draws
+    # nothing, and an integer of any type draws what a Python int does.
+    want = draw(RngStream(0), 3)
+    stream = RngStream(0)
+    for bad in (2.5, 3.9, 3.0, "3"):
+        with pytest.raises(ValueError, match="^size must be an integer"):
+            draw(stream, bad)
+    for size in (np.int64(3), np.uint8(3)):
+        assert np.array_equal(draw(RngStream(0), size), want)
+    assert np.array_equal(draw(stream, 3), want)
 
 
 u64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
