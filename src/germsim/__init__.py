@@ -8,7 +8,6 @@ from .coupling import (
     fragmentation_time,
     germ_transform,
     invert_time,
-    last_line_visit,
     reflect_after_last_visit,
     sample_coupled_pair,
 )
@@ -37,7 +36,6 @@ from .stats import (
 from .subordinator import (
     DriftGrid,
     FragmentationProcess,
-    first_passage_process,
     fragmentation_process,
     fragmentation_process_dual,
     sample_passage_time,
@@ -59,7 +57,6 @@ __all__ = [
     "VerifyConfig",
     "branch_probability",
     "first_meeting",
-    "first_passage_process",
     "fragmentation_cdf",
     "fragmentation_process",
     "fragmentation_process_dual",
@@ -68,7 +65,6 @@ __all__ = [
     "invert_time",
     "ks_statistic",
     "ks_threshold",
-    "last_line_visit",
     "levy_cdf",
     "line_value",
     "read_csv",

@@ -2,12 +2,12 @@
 finite-horizon germ transform, fragmentation and meeting times, and time
 inversion.
 
-Two equality semantics coexist here on purpose.  The transforms copy the
-untouched prefix of their input verbatim, so fragmentation detection
-compares values bit-exactly; no tolerance is involved.  Crossing *times*,
-on the other hand, are analysis quantities and are refined by linear
-interpolation inside the crossing cell.  The two views of the same event
-can disagree by at most one grid cell.
+Every fragmentation time is a grid time from one rule, the reflection
+start: one past the last grid point at or above the line theta * t / 2.
+The transforms copy the untouched prefix of their input verbatim, so
+fragmentation detection compares values bit-exactly; no tolerance is
+involved.  Only :func:`first_meeting`, an analysis quantity for the
+meeting duality, interpolates inside a grid cell.
 """
 
 from __future__ import annotations
@@ -40,42 +40,6 @@ class CoupledPair:
         return self.frag_time == math.inf
 
 
-def _root(ts, d, *, last: bool = False) -> float | None:
-    """First (or, with ``last``, latest) time where the sampled ``d`` meets 0.
-
-    A grid point where ``d`` is exactly 0 counts as a touch; a sign change
-    between adjacent grid points is located by linear interpolation inside
-    the cell.  On a tie the touch is kept.  ``None`` when ``d`` neither
-    touches nor changes sign.
-
-    Every cell's interpolated root is a candidate, because one can round
-    past its cell's end and so past the next cell's root.
-    """
-    pick = max if last else min
-    best = None
-    touches = np.nonzero(d == 0)[0]
-    if touches.size:
-        best = float(ts[touches[-1 if last else 0]])
-    k = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
-    if k.size:
-        roots = ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])
-        root = float(roots.max() if last else roots.min())
-        best = root if best is None else pick(best, root)
-    return best
-
-
-def last_line_visit(w, theta: float) -> float | None:
-    """Latest time in [0, T] where the sampled path touches or crosses the
-    line t -> theta * t / 2.
-
-    Grid touches count exactly; a sign change between adjacent grid points
-    is located by linear interpolation inside the cell.  Returns ``None``
-    when the path never touches or crosses.
-    """
-    ts = w.times
-    return _root(ts, w.values - line_value(theta, ts), last=True)
-
-
 def reflect_after_last_visit(w: Path, theta: float) -> Path:
     """Mirror the path across the line theta * t / 2 after its last grid visit.
 
@@ -98,7 +62,8 @@ def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.n
 
     That is one past the last grid point at or above the line theta * t / 2,
     found by ``argmax`` on the reversed row: ``n_steps + 1`` when the row
-    ends at or above the line, 0 when no point is.
+    ends at or above the line, 0 when no point is.  ``theta`` may be a
+    column of one drift per row.
     """
     at_or_above = rows - line_value(theta, times) >= 0.0
     last = times.size - 1 - at_or_above[:, ::-1].argmax(axis=1)
@@ -264,4 +229,14 @@ def first_meeting(p1, p2) -> float | None:
     ts = np.asarray(p1.times)
     if not np.array_equal(ts, np.asarray(p2.times)):
         raise ValueError("paths must share a grid")
-    return _root(ts, np.asarray(p1.values) - np.asarray(p2.values))
+    d = np.asarray(p1.values) - np.asarray(p2.values)
+    touches = np.nonzero(d == 0)[0]
+    best = float(ts[touches[0]]) if touches.size else None
+    # Every cell's interpolated root is a candidate, because one can round
+    # past its cell's end and so past the next cell's root.  On a tie the
+    # touch is kept.
+    k = np.nonzero(((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0)))[0]
+    if k.size:
+        root = float((ts[k] + (ts[k + 1] - ts[k]) * d[k] / (d[k] - d[k + 1])).min())
+        best = root if best is None else min(best, root)
+    return best

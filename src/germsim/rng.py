@@ -54,6 +54,14 @@ def _check_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_size(size) -> int:
+    """A draw count: an integer, at least 0."""
+    size = _check_int("size", size)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    return size
+
+
 def _check_u64(name: str, value: int) -> int:
     value = _check_int(name, value)
     if not 0 <= value < _U64_MAX:
@@ -97,12 +105,12 @@ class RngStream:
 
         Returns a float when ``size`` is None, else an array of ``size`` draws.
         """
-        u = uniform01_from_words(self._words(1 if size is None else _check_int("size", size)))
+        u = uniform01_from_words(self._words(1 if size is None else _check_size(size)))
         return float(u[0]) if size is None else u
 
     def standard_normal(self, size: int | None = None):
         """N(0, 1) draw(s) via the inverse-CDF transform, one word per variate."""
-        z = normal_from_words(self._words(1 if size is None else _check_int("size", size)))
+        z = normal_from_words(self._words(1 if size is None else _check_size(size)))
         return float(z[0]) if size is None else z
 
 

@@ -1,10 +1,11 @@
 """Fragmentation times over a grid of drifts and the dual first-passage view.
 
 For a driftless stem started at 0, the fragmentation time against its
-drift-theta transform equals the stem's last visit to the line
-theta * t / 2, and under time inversion its reciprocal is the first
-passage of the inverted path to the level theta / 2.  Both routes are
-implemented; they agree within one grid cell wherever both resolve.
+reflected drift-theta transform is the coupling's reflection start: the
+grid time one past the stem's last grid visit to the line theta * t / 2.
+Under time inversion that visit is the first inverted grid point at or
+above the level theta / 2, so the dual reads the same grid time back as
+the reciprocal of an inverted grid point.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _root, invert_time, last_line_visit
-from .paths import _real, line_value
+from .coupling import _reflection_start, invert_time
+from .paths import _real
 from .rng import RngStream
 
 
@@ -58,62 +59,54 @@ class FragmentationProcess:
 
 
 def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
-    """Last visit of the stem to each line theta * t / 2 with censoring.
+    """Fragmentation time of the stem's reflected pair at each drift.
 
-    The stem must be a driftless path started at 0.  An entry is
-    ``inf`` when agreement is certain to outlive the window: at
-    theta = 0, and whenever the stem ends strictly above the line (the
-    endpoint likelihood ratio is then >= 1, so the keep branch of the
-    transform always fires).  Otherwise the entry is the last visit,
-    flagged censored when it falls inside the final cell, where the grid
-    cannot tell whether the visit settles before the horizon.  A stem
-    ending exactly on the line thus reports the horizon itself, censored.
-    The stem starts on every line, so a last visit always exists.
+    The stem must be a driftless path started at 0.  Each entry is the
+    grid time where the reflection after the stem's last visit to the
+    line theta * t / 2 starts, as :func:`~germsim.coupling.couple_rows`
+    finds it, so it equals the ``frag_time`` of every reflected pair on
+    this stem.  It is ``inf`` when nothing is reflected: at theta = 0 and
+    whenever the stem ends at or above the line, where the endpoint
+    likelihood ratio is >= 1 and the keep branch always fires.  An entry
+    is censored when it is ``inf`` or the horizon itself, where only the
+    last grid point tells the pair from one that agrees to the horizon.
     """
     if stem.values[0] != 0.0:
         raise ValueError("stem must start at 0")
     ts = stem.times
-    horizon = float(ts[-1])
-    penultimate = float(ts[-2])
-    end = float(stem.values[-1])
-    times: list[float] = []
-    censored: list[bool] = []
-    for theta in grid.thetas:
-        if theta == 0.0 or end > line_value(theta, horizon):
-            times.append(math.inf)
-            censored.append(True)
-        else:
-            visit = last_line_visit(stem, theta)
-            times.append(visit)
-            censored.append(visit > penultimate)
-    return FragmentationProcess(tuple(times), tuple(censored))
+    n = ts.size - 1
+    thetas = np.array(grid.thetas)
+    rows = np.broadcast_to(stem.values, (thetas.size, n + 1))
+    # A line beyond the range of a double compares as inf, which is right.
+    with np.errstate(over="ignore"):
+        start = _reflection_start(ts, rows, thetas[:, None])
+    start[thetas == 0.0] = n + 1
+    return _as_process(np.append(ts, math.inf)[start], start >= n)
 
 
 def fragmentation_process_dual(stem, grid: DriftGrid) -> FragmentationProcess:
-    """Fragmentation times computed through the inverted path.
+    """:func:`fragmentation_process` read off the inverted path.
 
     Inverts the stem on [dt, horizon], one grid cell onwards, so the
-    inverted grid covers [1/horizon, n_steps/horizon].  Finds the first
-    passage of the inverted path to each level theta / 2 and returns
-    reciprocals.  A drift whose level is never reached is censored at
-    ``inf``.  Agrees with :func:`fragmentation_process` within one grid
-    cell wherever both are uncensored.
+    inverted grid s ascends from 1/horizon to 1/dt.  The stem's last visit
+    to each line theta * t / 2 is the first inverted grid point at or above
+    theta / 2, and the entry is the reciprocal of the inverted point just
+    before it: ``inf`` when the first point qualifies, and ``dt`` when no
+    point does (only t = 0 is on or above the line).  theta = 0 is ``inf``
+    as in the direct route.  Censoring marks the same grid indices, so the
+    two routes differ only by the rounding of 1 / (1 / t).
     """
-    passages = first_passage_process(invert_time(stem, stem.grid.dt), grid)
-    times = tuple(1.0 / p if p else math.inf for p in passages)
-    return FragmentationProcess(times, tuple(map(math.isinf, times)))
+    inv = invert_time(stem, stem.grid.dt)
+    thetas = np.array(grid.thetas)
+    at_or_above = inv.values >= 0.5 * thetas[:, None]
+    first = np.where(at_or_above.any(axis=1), at_or_above.argmax(axis=1), inv.times.size)
+    first[thetas == 0.0] = 0
+    recip = np.concatenate(([math.inf], 1.0 / inv.times[:-1], [stem.grid.dt]))
+    return _as_process(recip[first], first <= 1)
 
 
-def first_passage_process(w, grid: DriftGrid) -> tuple[float | None, ...]:
-    """First time the path reaches each level theta / 2, or None if never.
-
-    Crossings are located by linear interpolation inside the crossing
-    cell.  Times are non-decreasing in theta whenever the path starts at
-    or below the smallest level.
-    """
-    ts = np.asarray(w.times)
-    vs = np.asarray(w.values)
-    return tuple(_root(ts, vs - 0.5 * theta) for theta in grid.thetas)
+def _as_process(times: np.ndarray, censored: np.ndarray) -> FragmentationProcess:
+    return FragmentationProcess(tuple(times.tolist()), tuple(censored.tolist()))
 
 
 def sample_passage_time(level: float, stream: RngStream, size: int | None = None):

@@ -37,11 +37,19 @@ def coupled_pair(times, horizon, theta, stream):
     kept = x >= 0 or u <= math.exp(x)
     branch = list(stem)
     if not kept:
-        k = n_steps
-        while k >= 0 and stem[k] - 0.5 * theta * times[k] < 0:
+        for k in range(reflection_start(times, stem, theta), n_steps + 1):
             branch[k] = theta * times[k] - stem[k]
-            k -= 1
     return stem, branch
+
+
+def reflection_start(times, values, theta):
+    """One past the last index at or above the line theta * t / 2, by a
+    backward sweep over the trailing points strictly below it:
+    ``len(values)`` when the last point is at or above, 0 when none is."""
+    k = len(values) - 1
+    while k >= 0 and values[k] - 0.5 * theta * times[k] < 0:
+        k -= 1
+    return k + 1
 
 
 def first_difference(a, b):

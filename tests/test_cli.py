@@ -393,6 +393,21 @@ def test_frag_process_command(tmp_path):
     assert len(rows) == 4
 
 
+def test_frag_process_at_the_largest_horizon(tmp_path, capsys):
+    # At theta = 1e300 the line theta * t / 2 is beyond a double after
+    # t = 0, so every stem is below it from the first cell on.  Tests turn
+    # a numpy warning into an error.
+    out = tmp_path / "run"
+    assert main(["frag-process", "--horizon", "1.7e308", "--steps", "2", "--thetas",
+                 "1e-300,1e300", "--paths", "5", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    tables = sorted(out.glob("frag_process_*.csv"))
+    assert len(tables) == 5
+    for table in tables:
+        assert table.read_text().splitlines()[2] == "1e+300,8.5e+307,false"
+
+
 def test_germ_transform_round_trip(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"
@@ -558,8 +573,8 @@ GOLDEN_SHA256 = {
         "stem_00000.csv": "7061d8f0d04d16a3ce8267c6be6d84c434c238886c1ceb3e7fba08b1c653343d",
     },
     "frag_process": {
-        "frag_process_00000.csv": "d7de7d2133dc6938ab44470486776a57f52930efc26cdb7503ff6159adf85c57",
-        "frag_process_00001.csv": "aa1f6e72237297ec8284519acbe4464ca60adbd388e2027564c6d1fa429e5b3e",
+        "frag_process_00000.csv": "5f4244b6dc792c968c67d939a0df37489a843552c47c2ccb6b194b8a88f02866",
+        "frag_process_00001.csv": "e6545b36847be61aba70f93a8023d91109def106be5408b755ff951d6e846ef4",
         "manifest.json": "3634d3789f2c2d7269a84c5d0a4e2f096516896b97c33e2f161078cc06093c43",
     },
     "bouquet_json": {
@@ -576,8 +591,8 @@ GOLDEN_SHA256 = {
         "stem_00001.csv": "4bb7bae785b7e4564eb8286e1c1621d7fa6701ac8741649f429035e207218e26",
     },
     "frag_process_json": {
-        "frag_process_00000.json": "c285c07af27111938c329b4e614f7f6aadca115c8509fd0b4f0e781ef6611b4e",
-        "frag_process_00001.json": "043179f6f243103d77211a74c63e4a041ad066b6778c91d433d2435c620445c5",
+        "frag_process_00000.json": "f3508b24ca8afd990d201562d5511793e0e19caa8303d56c6b3a77b4fb29226b",
+        "frag_process_00001.json": "bbb9c3e488b775f0fbcf9585a5d53cbc99dcc0bdaa9dcf8687f0e5788be510f3",
         "manifest.json": "799a69126eeb13ab624b32ac344bbde5e8b246354df1da702a6122a13301972f",
     },
     "germ_transform": {

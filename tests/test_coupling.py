@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reflection_start
 
 from germsim.coupling import (
     CoupledPair,
@@ -12,7 +13,6 @@ from germsim.coupling import (
     fragmentation_time,
     germ_transform,
     invert_time,
-    last_line_visit,
     reflect_after_last_visit,
     sample_coupled_pair,
     validate_theta,
@@ -20,7 +20,7 @@ from germsim.coupling import (
 from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
 from germsim.rng import substream
 from germsim.stats import Ecdf, ks_statistic, ks_threshold, std_normal_cdf
-from germsim.subordinator import DriftGrid, first_passage_process, fragmentation_process
+from germsim.subordinator import DriftGrid, fragmentation_process
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, width=64, min_value=-1e6, max_value=1e6
@@ -31,29 +31,6 @@ def path_of(values, horizon=None):
     values = np.asarray(values, dtype=float)
     T = horizon if horizon is not None else float(len(values) - 1)
     return Path(TimeGrid(T, len(values) - 1), values)
-
-
-# ---------------------------------------------------------------- last visit
-
-def test_last_visit_path_on_line():
-    grid = TimeGrid(2.0, 8)
-    w = Path(grid, line_value(1.0, grid.times()))
-    assert last_line_visit(w, 1.0) == 2.0
-
-
-def test_last_visit_interpolated_root():
-    w = path_of([0.0, 1.0, -1.0])  # grid (0, 1, 2)
-    assert last_line_visit(w, 0.0) == 1.5
-
-
-def test_last_visit_touch_at_origin_only():
-    w = path_of([0.0, 5.0], horizon=1.0)
-    assert last_line_visit(w, 2.0) == 0.0
-
-
-def test_last_visit_none_when_never_touching():
-    w = path_of([1.0, 2.0], horizon=1.0)
-    assert last_line_visit(w, 0.0) is None
 
 
 # ---------------------------------------------------------------- reflection
@@ -329,22 +306,20 @@ def test_first_meeting_grid_mismatch():
 
 # ------------------------------------------------------------ crossing finder
 
-def _scan(ts, d, *, last=False):
-    """Reference crossing finder: every exact grid touch and the
-    interpolated root of every cell whose ends have opposite signs."""
+def _scan(ts, d):
+    """Reference meeting finder: the earliest of every exact grid touch and
+    the interpolated root of every cell whose ends have opposite signs."""
     hits = [float(ts[i]) for i in range(len(d)) if d[i] == 0]
     for k in range(len(d) - 1):
         a, b = float(d[k]), float(d[k + 1])
         if (a > 0 and b < 0) or (a < 0 and b > 0):
             t0, t1 = float(ts[k]), float(ts[k + 1])
             hits.append(t0 + (t1 - t0) * a / (a - b))
-    if not hits:
-        return None
-    return max(hits) if last else min(hits)
+    return min(hits, default=None)
 
 
-# Exact zeros, values equal to the levels theta / 2 tested below, and tiny
-# values whose roots round onto a grid point.
+# Exact zeros, values equal to the levels theta / 2 of the drift grids
+# below, and tiny values whose roots round onto a grid point.
 _cells = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-300, -1e-300]), finite_floats
 )
@@ -356,15 +331,12 @@ _cells = st.one_of(
     sign=st.sampled_from(("mixed", "positive", "negative")),
     horizon=st.sampled_from((1.0, 3.0, 10.0)),
     inverted=st.booleans(),
-    theta=st.sampled_from((0.0, 1.0, 2.0)),
 )
 # The root of the cell (185, -1e-300) rounds past its end, after the root
 # of the next cell.
-@example(row=[0.5, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False,
-         theta=1.0)
-@example(row=[0.0, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False,
-         theta=0.0)
-def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, theta):
+@example(row=[0.5, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False)
+@example(row=[0.0, 185.0, -1e-300, 0.5], sign="mixed", horizon=10.0, inverted=False)
+def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted):
     d = np.array(row)
     if sign == "positive":
         d = np.abs(d) + 0.25
@@ -375,24 +347,20 @@ def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted, t
     if inverted:
         w = invert_time(w, grid.dt)
     ts, vs = np.asarray(w.times), np.asarray(w.values)
-    assert last_line_visit(w, theta) == _scan(ts, vs - line_value(theta, ts), last=True)
     other = dataclasses.replace(w, values=np.zeros(vs.size))
     assert first_meeting(w, other) == _scan(ts, vs)
-    dgrid = DriftGrid((0.0, 1.0, 2.0))
-    assert first_passage_process(w, dgrid) == tuple(
-        _scan(ts, vs - 0.5 * th) for th in dgrid.thetas
-    )
 
 
 def _frag_rule(ts, vs, theta):
-    """One drift's entry of the fragmentation process, written out: inf and
-    censored at theta = 0 or for a stem ending above the line, otherwise
-    the last visit, censored past the penultimate time."""
-    d = [v - 0.5 * theta * t for t, v in zip(ts.tolist(), vs)]
-    if theta == 0.0 or d[-1] > 0:
+    """One drift's entry of the fragmentation process, written out: the
+    grid time where the backward sweep's reflection starts, inf and
+    censored at theta = 0 or when nothing is reflected, censored at the
+    horizon."""
+    times = ts.tolist()
+    k = reflection_start(times, vs, theta)
+    if theta == 0.0 or k == len(times):
         return math.inf, True
-    visit = _scan(ts, d, last=True)
-    return visit, visit > float(ts[-2])
+    return times[k], k == len(times) - 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,6 +384,25 @@ def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on
     vs = [0.0] + [line_value(line, t) if c is None else c for t, c in zip(ts[1:].tolist(), cells)]
     fp = fragmentation_process(Path(grid, np.array(vs)), DriftGrid(tuple(thetas)))
     assert list(zip(fp.times, fp.censored)) == [_frag_rule(ts, vs, th) for th in thetas]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_steps=st.integers(1, 200),
+    horizon=st.floats(0.05, 20.0),
+    thetas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+                    min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_fragmentation_process_is_the_reflected_pairs_frag_time(seed, n_steps, horizon, thetas):
+    # Every pair replays one stream, so all share the stem and its uniform;
+    # a reflected pair's frag_time is the process entry at its drift.
+    grid = TimeGrid(horizon, n_steps)
+    pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
+    fp = fragmentation_process(pairs[0].stem, DriftGrid(tuple(thetas)))
+    for pair, entry in zip(pairs, fp.times):
+        if not pair.agreed_to_horizon:
+            assert entry.hex() == pair.frag_time.hex()
 
 
 def test_meeting_duality_single_pair():

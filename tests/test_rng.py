@@ -107,6 +107,21 @@ def test_draw_counts_are_integers(draw):
     assert np.array_equal(draw(stream, 3), want)
 
 
+@pytest.mark.parametrize("draw", [
+    RngStream.uniform01,
+    RngStream.standard_normal,
+    lambda stream, size: sample_passage_time(1.0, stream, size=size),
+], ids=["uniform01", "standard_normal", "sample_passage_time"])
+def test_negative_draw_counts_name_size(draw):
+    # A rejected size draws nothing; size 0 is an empty draw.
+    stream = RngStream(0)
+    for bad in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"^size must be >= 0, got -1$"):
+            draw(stream, bad)
+    assert draw(stream, 0).shape == (0,)
+    assert np.array_equal(draw(stream, 3), draw(RngStream(0), 3))
+
+
 u64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 

@@ -8,7 +8,6 @@ from germsim.rng import substream
 from germsim.stats import Ecdf, ks_statistic, levy_cdf
 from germsim.subordinator import (
     DriftGrid,
-    first_passage_process,
     fragmentation_process,
     fragmentation_process_dual,
     sample_passage_time,
@@ -54,11 +53,13 @@ def test_zero_drift_entry_is_horizon_censored():
 
 def test_stem_on_line_reports_horizon():
     # Exact arithmetic: theta=1 level times are halves of dyadic grid times.
+    # The stem ends on the line, so the log likelihood ratio is 0 and the
+    # keep branch fires: the pair agrees to the horizon.
     grid = TimeGrid(2.0, 8)
     theta0 = 1.0
     stem = Path(grid, line_value(theta0, grid.times()))
     fp = fragmentation_process(stem, DriftGrid((theta0,)))
-    assert fp.times[0] == 2.0
+    assert fp.times[0] == math.inf
     assert fp.censored[0]
 
 
@@ -78,8 +79,8 @@ def test_dual_agrees_within_one_cell():
         fp = fragmentation_process(stem, dgrid)
         fd = fragmentation_process_dual(stem, dgrid)
         for t1, c1, t2, c2 in zip(fp.times, fp.censored, fd.times, fd.censored):
-            if not c1 and not c2:
-                assert abs(t1 - t2) <= grid.dt
+            assert c1 == c2
+            assert t1 == t2 or abs(t1 - t2) < grid.dt / 2
 
 
 def test_dual_line_stem_round_trip():
@@ -87,51 +88,20 @@ def test_dual_line_stem_round_trip():
     theta0 = 1.0
     stem = Path(grid, line_value(theta0, grid.times()))
     fd = fragmentation_process_dual(stem, DriftGrid((theta0,)))
-    # Inverted path is the constant theta0/2; first passage at s = 1/T.
-    assert fd.times[0] == 2.0
-    assert not fd.censored[0]
+    # Inverted path is the constant theta0/2, so the first inverted point
+    # is on the level: the stem ends on its line and the pair is kept.
+    assert fd.times[0] == math.inf
+    assert fd.censored[0]
 
 
 def test_dual_censors_unreachable_levels():
     grid = TimeGrid(2.0, 8)
     stem = Path(grid, line_value(1.0, grid.times()))
     fd = fragmentation_process_dual(stem, DriftGrid((50.0,)))
-    assert fd.times[0] == math.inf
-    assert fd.censored[0]
-
-
-def test_first_passage_level_zero_at_start():
-    stem = sample_bm(TimeGrid(1.0, 16), DriftedLaw(0.0, 0.0), substream(34, 0))
-    pp = first_passage_process(stem, DriftGrid((0.0,)))
-    assert pp[0] == 0.0
-
-
-def test_first_passage_interpolates_crossing():
-    grid = TimeGrid(1.0, 4)
-    w = Path(grid, grid.times())  # w(t) = t
-    pp = first_passage_process(w, DriftGrid((1.0,)))
-    assert pp[0] == 0.5
-
-
-def test_first_passage_monotone_and_none():
-    grid = TimeGrid(1.0, 200)
-    dgrid = DriftGrid((0.1, 0.5, 1.0, 3.0, 50.0))
-    for i in range(100):
-        w = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(35, i))
-        times = first_passage_process(w, dgrid)
-        reached = [t for t in times if t is not None]
-        assert all(b >= a for a, b in zip(reached, reached[1:]))
-        # once a level is unreached, higher ones must be too
-        seen_none = False
-        for t in times:
-            if t is None:
-                seen_none = True
-            else:
-                assert not seen_none
-    # level far above anything a short window reaches
-    assert first_passage_process(
-        sample_bm(grid, DriftedLaw(0.0, 0.0), substream(35, 0)), DriftGrid((50.0,))
-    )[0] is None
+    # No inverted point reaches 25: the stem meets the line only at t = 0,
+    # so the reflection starts one cell in, as `couple` reports it.
+    assert fd.times[0] == grid.dt
+    assert not fd.censored[0]
 
 
 def test_passage_sampler_formula():
