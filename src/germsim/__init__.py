@@ -14,7 +14,6 @@ from .coupling import (
 from .paths import (
     CsvFormatError,
     DriftedLaw,
-    IrregularPath,
     Path,
     TimeGrid,
     line_value,
@@ -35,7 +34,6 @@ from .stats import (
 )
 from .subordinator import (
     DriftGrid,
-    FragmentationProcess,
     fragmentation_process,
     fragmentation_process_dual,
     sample_passage_time,
@@ -48,9 +46,7 @@ __all__ = [
     "DriftGrid",
     "DriftedLaw",
     "Ecdf",
-    "FragmentationProcess",
     "GofReport",
-    "IrregularPath",
     "Path",
     "RngStream",
     "TimeGrid",

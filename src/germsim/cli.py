@@ -191,9 +191,9 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
     grid = cfg.grid()
     for i in range(cfg.n_paths):
         stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
-        fp = fragmentation_process(stem, dgrid)
+        times, censored = fragmentation_process(stem, dgrid)
         _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
-                     zip(dgrid.thetas, fp.times, fp.censored))
+                     zip(dgrid.thetas, times.tolist(), censored.tolist()))
     _write_json(out / "manifest.json", cfg.manifest("frag-process"))
     return out
 

@@ -1,6 +1,7 @@
 """Core path transforms: reflection after the last line visit, the
 finite-horizon germ transform, fragmentation and meeting times, and time
-inversion.
+inversion.  Inversion and meeting times take plain arrays, paths sampled
+on one grid of ``times``, because the inverted grid is not uniform.
 
 Every fragmentation time is a grid time from one rule, the reflection
 start: one past the last grid point at or above the line theta * t / 2.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DriftedLaw, IrregularPath, Path, _real, line_value, sample_bm_rows
+from .paths import DriftedLaw, Path, _real, line_value, sample_bm_rows
 from .rng import RngStream, uniform01_from_words
 
 
@@ -192,25 +193,22 @@ def couple_rows(grid, theta: float, words: np.ndarray):
     return stems, _mirror(times, stems, theta, start), start
 
 
-def invert_time(w, t_min: float) -> IrregularPath:
-    """Map the window t >= t_min of a trajectory through s -> s * w(1/s).
-
-    The result lives on the inverted grid {1/t : t >= t_min}, re-sorted
-    ascending.  The t = 0 limit is not representable on a finite grid, so
-    ``t_min`` must be strictly positive.
-    """
-    s, out = invert_rows(np.asarray(w.times), np.asarray(w.values), t_min)
-    return IrregularPath(np.ascontiguousarray(s), np.ascontiguousarray(out))
-
-
-def invert_rows(times: np.ndarray, values: np.ndarray, t_min: float):
-    """:func:`invert_time` of every path sampled on ``times``, one per row.
+def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):
+    """Map the window t >= t_min of paths sampled on ``times`` through
+    s -> s * w(1/s).
 
     ``values`` holds one path along its last axis, or many in rows.
-    Returns the inverted grid and the inverted values on it.
+    Returns the inverted grid {1/t : t >= t_min}, ascending, and the
+    inverted values on it.  The t = 0 limit is not representable on a
+    finite grid, so ``t_min`` must be strictly positive.
     """
+    times, values = np.asarray(times), np.asarray(values)
     if not t_min > 0:
         raise ValueError(f"t_min must be > 0, got {t_min}")
+    if not (times.ndim == 1 and np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("times must be a finite, strictly increasing 1-d array")
+    if values.shape[-1:] != times.shape or not np.isfinite(values).all():
+        raise ValueError("values must be finite, one per time along the last axis")
     mask = times >= t_min
     if np.count_nonzero(mask) < 2:
         raise ValueError("window t >= t_min keeps fewer than 2 grid points")
@@ -218,18 +216,16 @@ def invert_rows(times: np.ndarray, values: np.ndarray, t_min: float):
     return (1.0 / sel_t)[::-1], (values[..., mask] / sel_t)[..., ::-1]
 
 
-def first_meeting(p1, p2) -> float | None:
-    """Earliest time where the two trajectories meet.
+def first_meeting(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float | None:
+    """Earliest time where the paths ``a`` and ``b`` on the grid ``times`` meet.
 
     A grid point where their difference is exactly 0 counts as a meeting,
     and a sign change of the difference between adjacent grid points is
     resolved to the interpolated crossing inside the cell.  ``None`` when
     they never meet on the grid.
     """
-    ts = np.asarray(p1.times)
-    if not np.array_equal(ts, np.asarray(p2.times)):
-        raise ValueError("paths must share a grid")
-    d = np.asarray(p1.values) - np.asarray(p2.values)
+    ts = np.asarray(times)
+    d = np.asarray(a) - np.asarray(b)
     touches = np.nonzero(d == 0)[0]
     best = float(ts[touches[0]]) if touches.size else None
     # Every cell's interpolated root is a candidate, because one can round

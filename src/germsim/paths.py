@@ -19,14 +19,6 @@ class CsvFormatError(ValueError):
     """Malformed path CSV; the message cites the offending 1-based line."""
 
 
-def _frozen_view(values) -> np.ndarray:
-    vals = np.asarray(values, dtype=np.float64)
-    if vals is values:
-        vals = vals.view()
-    vals.flags.writeable = False
-    return vals
-
-
 def _real(value) -> float | None:
     """``value`` as a Python float if it is a real number, a 0-d array
     counting as its scalar; ``None`` otherwise.  A real number beyond the
@@ -81,7 +73,10 @@ class Path:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen_view(self.values)
+        vals = np.asarray(self.values, dtype=np.float64)
+        if vals is self.values:
+            vals = vals.view()
+        vals.flags.writeable = False
         if vals.ndim != 1 or vals.size != self.grid.n_steps + 1:
             raise ValueError(
                 f"values must have length n_steps + 1 = {self.grid.n_steps + 1}, got {vals.size}"
@@ -97,32 +92,6 @@ class Path:
     @property
     def horizon(self) -> float:
         return self.grid.horizon
-
-
-@dataclass(frozen=True)
-class IrregularPath:
-    """Trajectory on a strictly increasing, not necessarily uniform grid.
-
-    Time inversion lands here: the image of a uniform grid under s = 1/t
-    is irregular.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ts = _frozen_view(self.times)
-        vs = _frozen_view(self.values)
-        if ts.ndim != 1 or vs.ndim != 1 or ts.size != vs.size:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if ts.size < 2:
-            raise ValueError("need at least 2 grid points")
-        if not np.all(np.diff(ts) > 0):
-            raise ValueError("times must be strictly increasing")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
-            raise ValueError("times and values must all be finite")
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "values", vs)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ reflected drift-theta transform is the coupling's reflection start: the
 grid time one past the stem's last grid visit to the line theta * t / 2.
 Under time inversion that visit is the first inverted grid point at or
 above the level theta / 2, so the dual reads the same grid time back as
-the reciprocal of an inverted grid point.
+the reciprocal of an inverted grid point.  Both routes return one time
+and one censoring flag per drift, as a float array and a bool array.
 """
 
 from __future__ import annotations
@@ -44,32 +45,21 @@ class DriftGrid:
         object.__setattr__(self, "thetas", thetas)
 
 
-@dataclass(frozen=True)
-class FragmentationProcess:
-    """Fragmentation times per drift, non-increasing, ``inf`` where agreement
-    outlives the window."""
-
-    times: tuple[float, ...]
-    censored: tuple[bool, ...]
-
-    def is_nonincreasing(self) -> bool:
-        # Compared, not differenced: inf - inf is nan.
-        a = np.array(self.times)
-        return bool(np.all(a[1:] <= a[:-1]))
-
-
-def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
-    """Fragmentation time of the stem's reflected pair at each drift.
+def fragmentation_process(stem, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Fragmentation time of the stem's reflected pair at each drift, and
+    whether it is censored, as a float array and a bool array, one entry
+    per drift.
 
     The stem must be a driftless path started at 0.  Each entry is the
     grid time where the reflection after the stem's last visit to the
     line theta * t / 2 starts, as :func:`~germsim.coupling.couple_rows`
     finds it, so it equals the ``frag_time`` of every reflected pair on
-    this stem.  It is ``inf`` when nothing is reflected: at theta = 0 and
-    whenever the stem ends at or above the line, where the endpoint
-    likelihood ratio is >= 1 and the keep branch always fires.  An entry
-    is censored when it is ``inf`` or the horizon itself, where only the
-    last grid point tells the pair from one that agrees to the horizon.
+    this stem, and the times are non-increasing across the drifts.  It is
+    ``inf`` when nothing is reflected: at theta = 0 and whenever the stem
+    ends at or above the line, where the endpoint likelihood ratio is
+    >= 1 and the keep branch always fires.  An entry is censored when it
+    is ``inf`` or the horizon itself, where only the last grid point tells
+    the pair from one that agrees to the horizon.
     """
     if stem.values[0] != 0.0:
         raise ValueError("stem must start at 0")
@@ -81,10 +71,10 @@ def fragmentation_process(stem, grid: DriftGrid) -> FragmentationProcess:
     with np.errstate(over="ignore"):
         start = _reflection_start(ts, rows, thetas[:, None])
     start[thetas == 0.0] = n + 1
-    return _as_process(np.append(ts, math.inf)[start], start >= n)
+    return np.append(ts, math.inf)[start], start >= n
 
 
-def fragmentation_process_dual(stem, grid: DriftGrid) -> FragmentationProcess:
+def fragmentation_process_dual(stem, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fragmentation_process` read off the inverted path.
 
     Inverts the stem on [dt, horizon], one grid cell onwards, so the
@@ -96,17 +86,13 @@ def fragmentation_process_dual(stem, grid: DriftGrid) -> FragmentationProcess:
     as in the direct route.  Censoring marks the same grid indices, so the
     two routes differ only by the rounding of 1 / (1 / t).
     """
-    inv = invert_time(stem, stem.grid.dt)
+    s, inverted = invert_time(stem.times, stem.values, stem.grid.dt)
     thetas = np.array(grid.thetas)
-    at_or_above = inv.values >= 0.5 * thetas[:, None]
-    first = np.where(at_or_above.any(axis=1), at_or_above.argmax(axis=1), inv.times.size)
+    at_or_above = inverted >= 0.5 * thetas[:, None]
+    first = np.where(at_or_above.any(axis=1), at_or_above.argmax(axis=1), s.size)
     first[thetas == 0.0] = 0
-    recip = np.concatenate(([math.inf], 1.0 / inv.times[:-1], [stem.grid.dt]))
-    return _as_process(recip[first], first <= 1)
-
-
-def _as_process(times: np.ndarray, censored: np.ndarray) -> FragmentationProcess:
-    return FragmentationProcess(tuple(times.tolist()), tuple(censored.tolist()))
+    recip = np.concatenate(([math.inf], 1.0 / s[:-1], [stem.grid.dt]))
+    return recip[first], first <= 1
 
 
 def sample_passage_time(level: float, stream: RngStream, size: int | None = None):

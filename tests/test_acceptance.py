@@ -68,3 +68,11 @@ def test_criterion_09_determinism(reports):
 
 def test_criterion_10_negative_control(reports):
     _assert_pass(reports, ["c10_negative_control"])
+
+
+def test_negative_control_runs_its_ks_test(reports):
+    # The control must fail a KS test that ran, not fall back to a
+    # placeholder when no pair fragments.
+    meta = reports["c10_negative_control"].meta
+    assert meta["uncensored"] > 0
+    assert meta["corrupted_ks"] < 1.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +16,8 @@ from germsim.coupling import (
     sample_coupled_pair,
     validate_theta,
 )
-from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
-from germsim.rng import substream
+from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm, sample_bm_rows
+from germsim.rng import stream_words, substream
 from germsim.stats import Ecdf, ks_statistic, ks_threshold, std_normal_cdf
 from germsim.subordinator import DriftGrid, fragmentation_process
 
@@ -240,29 +239,36 @@ def test_bouquet_replay_shares_stem_and_frag_is_monotone(seed, n_steps, horizon,
 def test_invert_constant_path_becomes_line():
     grid = TimeGrid(4.0, 8)
     c = 3.25
-    p = Path(grid, np.full(9, c))
-    inv = invert_time(p, grid.dt)
-    assert np.allclose(inv.values, c * inv.times, rtol=1e-12)
+    s, inv = invert_time(grid.times(), np.full(9, c), grid.dt)
+    assert np.allclose(inv, c * s, rtol=1e-12)
 
 
 def test_invert_line_becomes_constant():
     grid = TimeGrid(4.0, 8)
     theta = 1.75
-    p = Path(grid, theta * grid.times())
-    inv = invert_time(p, grid.dt)
-    assert np.allclose(inv.values, theta, rtol=1e-12)
+    _, inv = invert_time(grid.times(), theta * grid.times(), grid.dt)
+    assert np.allclose(inv, theta, rtol=1e-12)
 
 
 def test_invert_requires_positive_t_min():
-    p = path_of([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="t_min"):
-        invert_time(p, 0.0)
+        invert_time(np.arange(3.0), np.arange(3.0), 0.0)
 
 
 def test_invert_rejects_empty_window():
-    p = path_of([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="window"):
-        invert_time(p, 100.0)
+        invert_time(np.arange(3.0), np.arange(3.0), 100.0)
+
+
+def test_invert_requires_increasing_times_and_finite_values():
+    with pytest.raises(ValueError, match="^times"):
+        invert_time(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.5)
+    with pytest.raises(ValueError, match="window"):
+        invert_time(np.array([1.0]), np.array([0.0]), 0.5)
+    with pytest.raises(ValueError, match="^values"):
+        invert_time(np.array([1.0, 2.0]), np.array([0.0, math.nan]), 0.5)
+    with pytest.raises(ValueError, match="^values"):
+        invert_time(np.array([1.0, 2.0]), np.zeros((2, 3)), 0.5)
 
 
 def test_double_inversion_relative_error():
@@ -270,38 +276,55 @@ def test_double_inversion_relative_error():
     worst = 0.0
     for i in range(100):
         p = sample_bm(grid, DriftedLaw(0.3, -0.1), substream(25, i))
-        once = invert_time(p, 0.1)
-        twice = invert_time(once, once.times[0])
+        s, once = invert_time(p.times, p.values, 0.1)
+        _, twice = invert_time(s, once, s[0])
         orig = p.values[p.times >= 0.1]
         nz = orig != 0
-        worst = max(worst, float(np.max(np.abs(twice.values[nz] - orig[nz]) / np.abs(orig[nz]))))
+        worst = max(worst, float(np.max(np.abs(twice[nz] - orig[nz]) / np.abs(orig[nz]))))
     assert worst <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_rows=st.integers(1, 5),
+    n_steps=st.integers(2, 80),
+    horizon=st.floats(0.05, 20.0),
+    cut=st.floats(0.0, 1.0),
+)
+def test_invert_rows_match_per_row_calls_and_invert_back(seed, n_rows, n_steps, horizon, cut):
+    grid = TimeGrid(horizon, n_steps)
+    times = grid.times()
+    # A window start from the first grid cell to the last.
+    t_min = float(times[1 + int(cut * (n_steps - 2))])
+    rows = sample_bm_rows(grid, DriftedLaw(0.5, -0.25),
+                          stream_words(seed, np.arange(n_rows), n_steps))
+    s, inv = invert_time(times, rows, t_min)
+    for row, inv_row in zip(rows, inv):
+        s_row, one = invert_time(times, row, t_min)
+        assert s_row.tobytes() == s.tobytes()
+        assert one.tobytes() == inv_row.tobytes()
+    back_t, back = invert_time(s, inv, s[0])
+    window = times >= t_min
+    assert np.allclose(back_t, times[window], rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(back - rows[:, window]) <= 1e-12 * np.abs(rows[:, window]))
 
 
 # -------------------------------------------------------------- first meeting
 
 def test_first_meeting_identical():
-    w = path_of([0.0, 1.0, 2.0])
-    assert first_meeting(w, w) == 0.0
+    w = np.array([0.0, 1.0, 2.0])
+    assert first_meeting(np.arange(3.0), w, w) == 0.0
 
 
 def test_first_meeting_interpolated_root():
-    p1 = path_of([1.0, 0.0], horizon=1.0)
-    p2 = path_of([0.0, 1.0], horizon=1.0)
-    assert first_meeting(p1, p2) == 0.5
+    ts = np.array([0.0, 1.0])
+    assert first_meeting(ts, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
 
 
 def test_first_meeting_none_when_separated():
-    p1 = path_of([1.0, 2.0], horizon=1.0)
-    p2 = path_of([0.0, 0.5], horizon=1.0)
-    assert first_meeting(p1, p2) is None
-
-
-def test_first_meeting_grid_mismatch():
-    p1 = path_of([0.0, 1.0], horizon=1.0)
-    p2 = path_of([0.0, 1.0], horizon=2.0)
-    with pytest.raises(ValueError, match="grid"):
-        first_meeting(p1, p2)
+    ts = np.array([0.0, 1.0])
+    assert first_meeting(ts, np.array([1.0, 2.0]), np.array([0.0, 0.5])) is None
 
 
 # ------------------------------------------------------------ crossing finder
@@ -343,12 +366,10 @@ def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted):
     elif sign == "negative":
         d = -np.abs(d) - 0.25
     grid = TimeGrid(horizon, d.size - 1)
-    w = Path(grid, d)
+    ts = grid.times()
     if inverted:
-        w = invert_time(w, grid.dt)
-    ts, vs = np.asarray(w.times), np.asarray(w.values)
-    other = dataclasses.replace(w, values=np.zeros(vs.size))
-    assert first_meeting(w, other) == _scan(ts, vs)
+        ts, d = invert_time(ts, d, grid.dt)
+    assert first_meeting(ts, d, np.zeros(d.size)) == _scan(ts, d)
 
 
 def _frag_rule(ts, vs, theta):
@@ -382,8 +403,8 @@ def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on
     grid = TimeGrid(horizon, len(cells))
     ts = grid.times()
     vs = [0.0] + [line_value(line, t) if c is None else c for t, c in zip(ts[1:].tolist(), cells)]
-    fp = fragmentation_process(Path(grid, np.array(vs)), DriftGrid(tuple(thetas)))
-    assert list(zip(fp.times, fp.censored)) == [_frag_rule(ts, vs, th) for th in thetas]
+    times, censored = fragmentation_process(Path(grid, np.array(vs)), DriftGrid(tuple(thetas)))
+    assert list(zip(times.tolist(), censored.tolist())) == [_frag_rule(ts, vs, th) for th in thetas]
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,8 +420,8 @@ def test_fragmentation_process_is_the_reflected_pairs_frag_time(seed, n_steps, h
     # a reflected pair's frag_time is the process entry at its drift.
     grid = TimeGrid(horizon, n_steps)
     pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
-    fp = fragmentation_process(pairs[0].stem, DriftGrid(tuple(thetas)))
-    for pair, entry in zip(pairs, fp.times):
+    times, _ = fragmentation_process(pairs[0].stem, DriftGrid(tuple(thetas)))
+    for pair, entry in zip(pairs, times.tolist()):
         if not pair.agreed_to_horizon:
             assert entry.hex() == pair.frag_time.hex()
 
@@ -412,11 +433,8 @@ def test_meeting_duality_single_pair():
     t = grid.times()
     m = 2.5
     base = np.sin(t)
-    p1 = Path(grid, base)
-    p2 = Path(grid, base + 0.8 * (t - m))
-    i1 = invert_time(p1, 0.05)
-    i2 = invert_time(p2, 0.05)
-    met = first_meeting(i1, i2)
+    s, (i1, i2) = invert_time(t, np.stack((base, base + 0.8 * (t - m))), 0.05)
+    met = first_meeting(s, i1, i2)
     assert met is not None
     assert abs(met - 1.0 / m) < 1e-9
 
@@ -429,8 +447,8 @@ def test_inverted_marginal_matches_swapped_law():
     vals = []
     for i in range(4_000):
         p = sample_bm(grid, DriftedLaw(theta, delta), substream(26, i))
-        inv = invert_time(p, 0.25)
-        vals.append(inv.values[np.argmin(np.abs(inv.times - 0.5))])
+        s, inv = invert_time(p.times, p.values, 0.25)
+        vals.append(inv[np.argmin(np.abs(s - 0.5))])
     s = 0.5
     mean, sd = theta + delta * s, math.sqrt(s)
     stat = ks_statistic(Ecdf(np.array(vals)), lambda x: std_normal_cdf((x - mean) / sd))

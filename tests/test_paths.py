@@ -11,7 +11,6 @@ from germsim import paths
 from germsim.paths import (
     CsvFormatError,
     DriftedLaw,
-    IrregularPath,
     Path,
     TimeGrid,
     line_value,
@@ -69,13 +68,6 @@ def test_path_validation():
     p = Path(g, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         p.values[0] = 5.0
-
-
-def test_irregular_path_requires_increasing_times():
-    with pytest.raises(ValueError):
-        IrregularPath(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        IrregularPath(np.array([1.0]), np.array([0.0]))
 
 
 def test_line_value():
