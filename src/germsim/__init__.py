@@ -3,9 +3,7 @@
 __version__ = "0.1.0"
 
 from .coupling import (
-    CoupledPair,
     first_meeting,
-    fragmentation_time,
     germ_transform,
     invert_time,
     reflect_after_last_visit,
@@ -18,7 +16,6 @@ from .paths import (
     TimeGrid,
     line_value,
     read_csv,
-    sample_bm,
     write_csv,
 )
 from .rng import RngStream, substream
@@ -41,7 +38,6 @@ from .subordinator import (
 from .verify import VerifyConfig, run_verification
 
 __all__ = [
-    "CoupledPair",
     "CsvFormatError",
     "DriftGrid",
     "DriftedLaw",
@@ -56,7 +52,6 @@ __all__ = [
     "fragmentation_cdf",
     "fragmentation_process",
     "fragmentation_process_dual",
-    "fragmentation_time",
     "germ_transform",
     "invert_time",
     "ks_statistic",
@@ -66,7 +61,6 @@ __all__ = [
     "read_csv",
     "reflect_after_last_visit",
     "run_verification",
-    "sample_bm",
     "sample_coupled_pair",
     "sample_passage_time",
     "std_normal_cdf",

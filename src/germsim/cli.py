@@ -18,8 +18,8 @@ from pathlib import Path as FsPath
 
 from . import __version__
 from .coupling import germ_transform, sample_coupled_pair, validate_theta
-from .paths import DriftedLaw, TimeGrid, _write_text, read_csv, sample_bm, write_csv
-from .rng import _check_int, _check_u64, substream
+from .paths import DriftedLaw, Path, TimeGrid, _write_text, read_csv, sample_bm_rows, write_csv
+from .rng import _check_int, _check_u64, _chunks, stream_words, substream
 from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
@@ -134,13 +134,22 @@ def _write_table(out: FsPath, name: str, fmt: str, columns, rows, csv_columns=No
 _FRAG_COLUMNS = ("theta", "tau_frag", "censored")
 
 
+def _stems(cfg: RunConfig):
+    """The run's driftless stems, path ``i`` drawn from stream ``(seed, i)``,
+    in chunks: the path ids and their stems, one per row."""
+    grid = cfg.grid()
+    for ids in _chunks(cfg.n_paths, grid.n_steps):
+        words = stream_words(cfg.seed, ids, grid.n_steps)
+        yield ids.tolist(), sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+
+
 def cmd_sample(cfg: RunConfig) -> FsPath:
     """Write n_paths driftless stems as path_<id>.csv plus a manifest."""
     out = _out_dir(cfg)
     grid = cfg.grid()
-    for i in range(cfg.n_paths):
-        path = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
-        write_csv(path, out / f"path_{i:05d}.csv")
+    for ids, stems in _stems(cfg):
+        for i, stem in zip(ids, stems):
+            write_csv(Path(grid, stem), out / f"path_{i:05d}.csv")
     _write_json(out / "manifest.json", cfg.manifest("sample"))
     return out
 
@@ -152,10 +161,10 @@ def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
     grid = cfg.grid()
     rows = []
     for i in range(cfg.n_paths):
-        pair = sample_coupled_pair(grid, theta, substream(cfg.seed, i))
-        write_csv(pair.stem, out / f"stem_{i:05d}.csv")
-        write_csv(pair.branch, out / f"branch_{i:05d}.csv")
-        rows.append((i, pair.frag_time, pair.agreed_to_horizon))
+        stem, branch, frag_time = sample_coupled_pair(grid, theta, substream(cfg.seed, i))
+        write_csv(Path(grid, stem), out / f"stem_{i:05d}.csv")
+        write_csv(Path(grid, branch), out / f"branch_{i:05d}.csv")
+        rows.append((i, frag_time, frag_time == math.inf))
     _write_table(out, "frag_times", cfg.fmt, ("path_id", "frag_time", "censored"), rows,
                  csv_columns=("path_id", "frag_time_or_inf"))
     _write_json(out / "manifest.json", cfg.manifest("couple", {"theta": theta}))
@@ -175,11 +184,12 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
     grid = cfg.grid()
     for i in range(cfg.n_paths):
         pairs = [sample_coupled_pair(grid, theta, substream(cfg.seed, i)) for theta in thetas]
-        write_csv(pairs[0].stem, out / f"stem_{i:05d}.csv")
-        for j, pair in enumerate(pairs):
-            write_csv(pair.branch, out / f"branch_{i:05d}_theta{j}.csv")
+        write_csv(Path(grid, pairs[0][0]), out / f"stem_{i:05d}.csv")
+        for j, (_, branch, _) in enumerate(pairs):
+            write_csv(Path(grid, branch), out / f"branch_{i:05d}_theta{j}.csv")
+        frags = [frag for _, _, frag in pairs]
         _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
-                     [(p.theta, p.frag_time, p.agreed_to_horizon) for p in pairs])
+                     [(theta, frag, frag == math.inf) for theta, frag in zip(thetas, frags)])
     _write_json(out / "manifest.json", cfg.manifest("bouquet"))
     return out
 
@@ -188,12 +198,12 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
     """Fragmentation-time process of fresh stems over the drift grid."""
     dgrid = DriftGrid(cfg.thetas)
     out = _out_dir(cfg)
-    grid = cfg.grid()
-    for i in range(cfg.n_paths):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, i))
-        times, censored = fragmentation_process(stem, dgrid)
-        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
-                     zip(dgrid.thetas, times.tolist(), censored.tolist()))
+    times = cfg.grid().times()
+    for ids, stems in _stems(cfg):
+        frags, censored = fragmentation_process(times, stems, dgrid)
+        for i, row, flags in zip(ids, frags.tolist(), censored.tolist()):
+            _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
+                         zip(dgrid.thetas, row, flags))
     _write_json(out / "manifest.json", cfg.manifest("frag-process"))
     return out
 

@@ -5,40 +5,20 @@ on one grid of ``times``, because the inverted grid is not uniform.
 
 Every fragmentation time is a grid time from one rule, the reflection
 start: one past the last grid point at or above the line theta * t / 2.
-The transforms copy the untouched prefix of their input verbatim, so
-fragmentation detection compares values bit-exactly; no tolerance is
-involved.  Only :func:`first_meeting`, an analysis quantity for the
-meeting duality, interpolates inside a grid cell.
+The transforms copy the untouched prefix of their input verbatim, so the
+first bit-exact difference of stem and branch falls at that time; no
+tolerance is involved.  Only :func:`first_meeting`, an analysis quantity
+for the meeting duality, interpolates inside a grid cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import DriftedLaw, Path, _real, line_value, sample_bm_rows
 from .rng import RngStream, uniform01_from_words
-
-
-@dataclass(frozen=True)
-class CoupledPair:
-    """A stem path, its drifted transform, and their detected fragmentation
-    time, ``inf`` when they agree to the horizon."""
-
-    stem: Path
-    branch: Path
-    theta: float
-    frag_time: float
-
-    def __post_init__(self):
-        if self.stem.grid != self.branch.grid:
-            raise ValueError("stem and branch must share a grid")
-
-    @property
-    def agreed_to_horizon(self) -> bool:
-        return self.frag_time == math.inf
 
 
 def reflect_after_last_visit(w: Path, theta: float) -> Path:
@@ -55,7 +35,7 @@ def reflect_after_last_visit(w: Path, theta: float) -> Path:
         start = _reflection_start(ts, row, theta)
         if start[0] > w.grid.n_steps:
             return w
-        return _branch(w.grid, theta, _mirror(ts, row, theta, start)[0])
+        return Path(w.grid, _finite_branch(w.grid, theta, _mirror(ts, row, theta, start)[0]))
 
 
 def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.ndarray:
@@ -63,12 +43,14 @@ def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.n
 
     That is one past the last grid point at or above the line theta * t / 2,
     found by ``argmax`` on the reversed row: ``n_steps + 1`` when the row
-    ends at or above the line, 0 when no point is.  ``theta`` may be a
-    column of one drift per row.
+    ends at or above the line, 0 when no point is.  ``rows`` runs along its
+    last axis, and ``theta`` may be an array that broadcasts against it,
+    such as a column of one drift per row.
     """
     at_or_above = rows - line_value(theta, times) >= 0.0
-    last = times.size - 1 - at_or_above[:, ::-1].argmax(axis=1)
-    return np.where(at_or_above[np.arange(rows.shape[0]), last], last + 1, 0)
+    last = times.size - 1 - at_or_above[..., ::-1].argmax(axis=-1)
+    at_last = np.take_along_axis(at_or_above, last[..., None], axis=-1)[..., 0]
+    return np.where(at_last, last + 1, 0)
 
 
 def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray) -> np.ndarray:
@@ -76,9 +58,9 @@ def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray
     return np.where(np.arange(times.size) >= start[:, None], theta * times - rows, rows)
 
 
-def _branch(grid, theta: float, values: np.ndarray) -> Path:
-    """The branch ``values`` on ``grid`` as a :class:`Path`; a reflected value
-    beyond the range of a double is rejected under ``theta``.
+def _finite_branch(grid, theta: float, values: np.ndarray) -> np.ndarray:
+    """The branch ``values`` on ``grid``; a reflected value beyond the range
+    of a double is rejected under ``theta``.
 
     Callers compute one row with overflow silenced: an overflow in the
     reflection start compares correctly, and one in the mirror shows here.
@@ -86,7 +68,7 @@ def _branch(grid, theta: float, values: np.ndarray) -> Path:
     if not np.isfinite(values).all():
         raise ValueError(f"theta = {theta!r} on horizon {grid.horizon!r} takes the "
                          "reflection theta * t - w(t) beyond the range of a double")
-    return Path(grid, values)
+    return values
 
 
 def validate_theta(theta: float) -> float:
@@ -136,42 +118,22 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
     return reflect_after_last_visit(w, theta)
 
 
-def fragmentation_time(p1: Path, p2: Path) -> float:
-    """First grid time where the two paths differ bit-exactly.
+def sample_coupled_pair(grid, theta: float, stream: RngStream):
+    """One pair of :func:`couple_rows`, drawn from ``stream``: the stem, the
+    branch germ_transform(stem, u, theta) and their fragmentation time.
 
-    ``inf`` when they agree at every grid point.  Bit-exact
-    comparison is sound because the coupling transforms copy the agreement
-    prefix verbatim.
+    The stem and branch are arrays on ``grid``, and the fragmentation time
+    is the grid time of the reflection start, ``inf`` when nothing is
+    reflected.  Consumes ``n_steps`` words for the stem increments and
+    then one word for the uniform, in that order, so replay of a stream is
+    exact.
     """
-    if p1.grid != p2.grid:
-        raise ValueError("paths must share a grid")
-    first = int(_first_difference(p1.values[None], p2.values[None])[0])
-    return math.inf if first > p1.grid.n_steps else float(p1.times[first])
-
-
-def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the first index where ``a`` and ``b`` differ bit-exactly;
-    the row length where they agree."""
-    differs = a != b
-    first = differs.argmax(axis=1)
-    return np.where(differs[np.arange(a.shape[0]), first], first, a.shape[1])
-
-
-def sample_coupled_pair(grid, theta: float, stream: RngStream) -> CoupledPair:
-    """One pair of :func:`couple_rows`, drawn from ``stream``:
-    branch = germ_transform(stem, u, theta).
-
-    Consumes ``n_steps`` words for the stem increments and then one word
-    for the uniform, in that order, so replay of a stream is exact.  The
-    branch is the stem itself when nothing is reflected.
-    """
-    # A log ratio of inf - inf is nan, which reflects; _branch rejects a
-    # reflection that overflows.
+    # A log ratio of inf - inf is nan, which reflects; _finite_branch
+    # rejects a reflection that overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         stems, branches, start = couple_rows(grid, theta, stream._words(grid.n_steps + 1)[None])
-    stem = Path(grid, stems[0])
-    branch = stem if start[0] > grid.n_steps else _branch(grid, theta, branches[0])
-    return CoupledPair(stem, branch, theta, fragmentation_time(stem, branch))
+    frag_time = float(np.append(grid.times(), math.inf)[start[0]])
+    return stems[0], _finite_branch(grid, theta, branches[0]), frag_time
 
 
 def couple_rows(grid, theta: float, words: np.ndarray):

@@ -12,7 +12,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .rng import RngStream, _check_int, normal_from_words
+from .rng import _check_int, normal_from_words
 
 
 class CsvFormatError(ValueError):
@@ -109,14 +109,6 @@ class DriftedLaw:
 def line_value(theta: float, t):
     """Height theta * t / 2 of the reference line at time t (vectorized in t)."""
     return 0.5 * theta * t
-
-
-def sample_bm(grid: TimeGrid, law: DriftedLaw, stream: RngStream) -> Path:
-    """One path of :func:`sample_bm_rows`, drawn from ``stream``.
-
-    Consumes exactly ``n_steps`` words of the stream.
-    """
-    return Path(grid, sample_bm_rows(grid, law, stream._words(grid.n_steps)[None])[0])
 
 
 def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .paths import _real
+
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to well below 1e-10 (erfc based)."""
@@ -114,9 +116,12 @@ def ks_statistic(
     return float(np.max(np.abs(ranks - ref)))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a Python float, a test level in (0, 1)."""
+    value = _real(alpha)
+    if value is None or not 0 < value < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return value
 
 
 def ks_threshold(n: int, alpha: float) -> float:
@@ -127,7 +132,7 @@ def ks_threshold(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 

@@ -45,15 +45,16 @@ class DriftGrid:
         object.__setattr__(self, "thetas", thetas)
 
 
-def fragmentation_process(stem, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
+def fragmentation_process(times, stems, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
     """Fragmentation time of the stem's reflected pair at each drift, and
-    whether it is censored, as a float array and a bool array, one entry
-    per drift.
+    whether it is censored, as a float array and a bool array with one
+    entry per drift along their last axis.
 
-    The stem must be a driftless path started at 0.  Each entry is the
-    grid time where the reflection after the stem's last visit to the
-    line theta * t / 2 starts, as :func:`~germsim.coupling.couple_rows`
-    finds it, so it equals the ``frag_time`` of every reflected pair on
+    ``stems`` holds one driftless path started at 0, sampled on ``times``,
+    along its last axis, or many in rows.  Each entry is the grid time
+    where the reflection after the stem's last visit to the line
+    theta * t / 2 starts, as :func:`~germsim.coupling.couple_rows` finds
+    it, so it equals the fragmentation time of every reflected pair on
     this stem, and the times are non-increasing across the drifts.  It is
     ``inf`` when nothing is reflected: at theta = 0 and whenever the stem
     ends at or above the line, where the endpoint likelihood ratio is
@@ -61,37 +62,41 @@ def fragmentation_process(stem, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray
     is ``inf`` or the horizon itself, where only the last grid point tells
     the pair from one that agrees to the horizon.
     """
-    if stem.values[0] != 0.0:
+    times, stems = np.asarray(times), np.asarray(stems)
+    if stems.shape[-1:] != times.shape:
+        raise ValueError("stems must hold one value per time along the last axis")
+    if (stems[..., 0] != 0.0).any():
         raise ValueError("stem must start at 0")
-    ts = stem.times
-    n = ts.size - 1
+    n = times.size - 1
     thetas = np.array(grid.thetas)
-    rows = np.broadcast_to(stem.values, (thetas.size, n + 1))
     # A line beyond the range of a double compares as inf, which is right.
     with np.errstate(over="ignore"):
-        start = _reflection_start(ts, rows, thetas[:, None])
-    start[thetas == 0.0] = n + 1
-    return np.append(ts, math.inf)[start], start >= n
+        start = _reflection_start(times, stems[..., None, :], thetas[:, None])
+    start[..., thetas == 0.0] = n + 1
+    return np.append(times, math.inf)[start], start >= n
 
 
-def fragmentation_process_dual(stem, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
+def fragmentation_process_dual(times, stems, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fragmentation_process` read off the inverted path.
 
-    Inverts the stem on [dt, horizon], one grid cell onwards, so the
-    inverted grid s ascends from 1/horizon to 1/dt.  The stem's last visit
-    to each line theta * t / 2 is the first inverted grid point at or above
-    theta / 2, and the entry is the reciprocal of the inverted point just
-    before it: ``inf`` when the first point qualifies, and ``dt`` when no
-    point does (only t = 0 is on or above the line).  theta = 0 is ``inf``
-    as in the direct route.  Censoring marks the same grid indices, so the
-    two routes differ only by the rounding of 1 / (1 / t).
+    Inverts the stems on [dt, horizon], one grid cell onwards with
+    dt = ``times[1]``, so the inverted grid s ascends from 1/horizon to
+    1/dt.  The stem's last visit to each line theta * t / 2 is the first
+    inverted grid point at or above theta / 2, and the entry is the
+    reciprocal of the inverted point just before it: ``inf`` when the
+    first point qualifies, and ``dt`` when no point does (only t = 0 is on
+    or above the line).  theta = 0 is ``inf`` as in the direct route.
+    Censoring marks the same grid indices, so the two routes differ only
+    by the rounding of 1 / (1 / t).
     """
-    s, inverted = invert_time(stem.times, stem.values, stem.grid.dt)
+    times = np.asarray(times)
+    dt = times[1]
+    s, inverted = invert_time(times, stems, dt)
     thetas = np.array(grid.thetas)
-    at_or_above = inverted >= 0.5 * thetas[:, None]
-    first = np.where(at_or_above.any(axis=1), at_or_above.argmax(axis=1), s.size)
-    first[thetas == 0.0] = 0
-    recip = np.concatenate(([math.inf], 1.0 / s[:-1], [stem.grid.dt]))
+    at_or_above = inverted[..., None, :] >= 0.5 * thetas[:, None]
+    first = np.where(at_or_above.any(axis=-1), at_or_above.argmax(axis=-1), s.size)
+    first[..., thetas == 0.0] = 0
+    recip = np.concatenate(([math.inf], 1.0 / s[:-1], [dt]))
     return recip[first], first <= 1
 
 

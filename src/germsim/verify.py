@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import _first_difference, couple_rows, first_meeting, invert_time
-from .paths import DriftedLaw, TimeGrid, _real, sample_bm, sample_bm_rows
-from .rng import _check_u64, stream_words, substream
+from .coupling import couple_rows, first_meeting, invert_time
+from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
+from .rng import _check_u64, _chunks, stream_words, substream
 from .stats import (
     Ecdf,
     GofReport,
@@ -50,14 +50,6 @@ INVOLUTION_REL_TOL = 1e-9
 
 _DETERMINISM_SCALE = 0.05
 
-# Batched criteria simulate chunks of paths holding about this many words,
-# so each per-chunk array stays near 256 kB (c01: 3 paths of 10,001 words)
-# and memory does not grow with the path count.  Measured on 2 CPUs over
-# c01 (2,000 paths), c02, c03 and c08: 2**13 words took 2.2-2.4 s at a
-# 57.0 MB peak, 2**15 1.7-1.9 s at 58.7 MB, 2**17 1.7-1.8 s at 66.4 MB.
-CHUNK_WORDS = 1 << 15
-
-
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 0
@@ -66,11 +58,12 @@ class VerifyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_u64("seed", self.seed))
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         # 100_000 is the largest sample count the suite scales.
         scale = _real(self.scale)
         if scale is None or not (scale > 0 and math.isfinite(100_000 * scale)):
             raise ValueError(f"scale must be > 0 with 100000 * scale finite, got {self.scale!r}")
+        object.__setattr__(self, "scale", scale)
 
 
 def _report(cfg: VerifyConfig, name: str, n: int, statistic: float, threshold: float,
@@ -88,11 +81,12 @@ def _ns(tag: int) -> int:
     return tag << 32
 
 
-def _chunks(n_paths: int, n_words: int):
-    """Consecutive index arrays covering range(n_paths), CHUNK_WORDS words each."""
-    rows = max(1, CHUNK_WORDS // n_words)
-    for start in range(0, n_paths, rows):
-        yield np.arange(start, min(start + rows, n_paths))
+def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the first index where ``a`` and ``b`` differ bit-exactly;
+    the row length where they agree."""
+    differs = a != b
+    first = differs.argmax(axis=1)
+    return np.where(differs[np.arange(a.shape[0]), first], first, a.shape[1])
 
 
 @dataclass(frozen=True)
@@ -222,17 +216,19 @@ def _criterion_5(cfg: VerifyConfig) -> list[GofReport]:
     horizon, n_steps = 10.0, 1_000
     n_stems = _scaled(1_000, cfg.scale, 100)
     grid = TimeGrid(horizon, n_steps)
+    times = grid.times()
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
 
     non_monotone = 0
     diffs = []  # |direct - dual| wherever neither route is censored
-    for i in range(n_stems):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(cfg.seed, _ns(5) | i))
-        direct, c_direct = fragmentation_process(stem, dgrid)
-        dual, c_dual = fragmentation_process_dual(stem, dgrid)
+    for ids in _chunks(n_stems, n_steps):
+        words = stream_words(cfg.seed, _ns(5) | ids, n_steps)
+        stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+        direct, c_direct = fragmentation_process(times, stems, dgrid)
+        dual, c_dual = fragmentation_process_dual(times, stems, dgrid)
         # Compared, and censored entries dropped before differencing:
         # inf - inf is nan.
-        non_monotone += not np.all(direct[1:] <= direct[:-1])
+        non_monotone += int(np.count_nonzero(~(direct[:, 1:] <= direct[:, :-1]).all(axis=1)))
         both = ~(c_direct | c_dual)
         diffs.append(np.abs(direct[both] - dual[both]))
     diffs = np.concatenate(diffs)

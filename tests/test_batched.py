@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import couple_summary
 
-from germsim import verify
+from germsim import rng, verify
 from germsim.rng import KEYED_MAX_WORDS
 from germsim.stats import reports_to_json
 from germsim.verify import VerifyConfig, run_verification
@@ -40,7 +40,7 @@ SEED0_SCALE005_SHA256 = "b624362c221a2879600e82d46ac73368377dce7dd2c4833e931792c
          n_paths=1)
 def test_chunked_core_matches_per_path(seed, theta, horizon, n_steps, rows_per_chunk, n_paths):
     # A small chunk budget puts chunk boundaries inside n_paths.
-    with mock.patch.object(verify, "CHUNK_WORDS", rows_per_chunk * (n_steps + 1)):
+    with mock.patch.object(rng, "CHUNK_WORDS", rows_per_chunk * (n_steps + 1)):
         got = verify._couple_batch(seed, verify._ns(1), theta, horizon, n_steps, n_paths)
     frag, germ_ok, kept, branch_end = map(np.array, couple_summary(
         seed, verify._ns(1), theta, horizon, n_steps, n_paths

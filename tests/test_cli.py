@@ -2,15 +2,16 @@ import hashlib
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from germsim import cli
+from germsim import cli, verify
 from germsim.cli import RunConfig, cmd_couple, main
 from germsim.paths import TimeGrid, read_csv
-from germsim.rng import RngStream
-from germsim.stats import ks_threshold
+from germsim.rng import KEYED_MAX_WORDS, RngStream
+from germsim.stats import ks_threshold, reports_to_json
 from germsim.subordinator import DriftGrid
 from germsim.verify import VerifyConfig
 
@@ -75,6 +76,7 @@ def test_verify_config_raises_the_owner_message():
     # The largest scaled count, 100_000 * scale, would overflow.
     ({"scale": 1e308}, "scale"),
     ({"scale": 10**400}, "scale"),
+    ({"alpha": "0.1"}, "alpha"),
 ])
 def test_verify_config_validated_at_construction(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -110,6 +112,22 @@ def test_run_config_manifest_records_the_floats_that_run(kwargs, key, want):
     json.dumps(doc)
 
 
+@pytest.mark.parametrize("kwargs,key,want", [
+    ({"alpha": np.float32(0.001)}, "alpha", float(np.float32(0.001))),
+    ({"alpha": Fraction(1, 1000)}, "alpha", 0.001),
+    ({"scale": Fraction(1, 50)}, "scale", 0.02),
+    ({"scale": np.float32(0.5)}, "scale", 0.5),
+    ({"scale": 1}, "scale", 1.0),
+])
+def test_verify_config_records_the_floats_that_run(kwargs, key, want):
+    # The report records the config's Python float, which JSON can write,
+    # so a suite never runs to the end only to fail in reports_to_json.
+    cfg = VerifyConfig(**kwargs)
+    assert type(getattr(cfg, key)) is float and getattr(cfg, key) == want
+    report = verify._report(cfg, "x", 1, 0.0, 0.0, scale=cfg.scale)
+    assert json.loads(reports_to_json([report]))[0]["alpha"] == cfg.alpha
+
+
 def test_sample_writes_paths_and_manifest(tmp_path):
     out = tmp_path / "run"
     rc = main(["sample", "--paths", "2", "--steps", "4", "--out", str(out)])
@@ -131,6 +149,19 @@ def test_sample_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert _read(a / name) == _read(b / name)
+
+
+@pytest.mark.parametrize("steps", ["64", "1000"])
+def test_sample_stems_equal_couple_stems(tmp_path, steps):
+    # sample draws its stems as rows and couple one pair per stream; both
+    # sides of KEYED_MAX_WORDS give the same stems, byte for byte.
+    assert 64 < KEYED_MAX_WORDS < 1000
+    args = ["--seed", "0", "--paths", "3", "--horizon", "10", "--steps", steps]
+    assert main(["sample", *args, "--out", str(tmp_path / "s")]) == 0
+    assert main(["couple", *args, "--theta", "2", "--out", str(tmp_path / "c")]) == 0
+    for i in range(3):
+        assert _read(tmp_path / "s" / f"path_{i:05d}.csv") == \
+            _read(tmp_path / "c" / f"stem_{i:05d}.csv")
 
 
 def test_sample_invalid_steps_exits_2(tmp_path, capsys):

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reflection_start
+from reference import first_difference, reflection_start
 
 from germsim.coupling import (
-    CoupledPair,
     first_meeting,
-    fragmentation_time,
     germ_transform,
     invert_time,
     reflect_after_last_visit,
     sample_coupled_pair,
     validate_theta,
 )
-from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm, sample_bm_rows
+from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm_rows
 from germsim.rng import stream_words, substream
 from germsim.stats import Ecdf, ks_statistic, ks_threshold, std_normal_cdf
-from germsim.subordinator import DriftGrid, fragmentation_process
+from germsim.subordinator import DriftGrid, fragmentation_process, fragmentation_process_dual
+from germsim.verify import _first_difference
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, width=64, min_value=-1e6, max_value=1e6
@@ -32,12 +31,17 @@ def path_of(values, horizon=None):
     return Path(TimeGrid(T, len(values) - 1), values)
 
 
+def stems_of(grid, seed, ids):
+    """Driftless stems of the streams ``(seed, id)``, one per row."""
+    return sample_bm_rows(grid, DriftedLaw(0.0, 0.0), stream_words(seed, ids, grid.n_steps))
+
+
 # ---------------------------------------------------------------- reflection
 
 def test_reflect_no_op_when_endpoint_at_or_above():
     grid = TimeGrid(1.0, 4)
-    w = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(1, 0))
-    shifted = Path(grid, w.values + abs(w.values).max() + 1.0)
+    w = stems_of(grid, 1, [0])[0]
+    shifted = Path(grid, w + abs(w).max() + 1.0)
     out = reflect_after_last_visit(shifted, 0.0)
     assert out is shifted
 
@@ -71,8 +75,8 @@ def test_reflection_identity_mirror_images():
     # On reflected indices branch + stem equals theta * t up to rounding.
     grid = TimeGrid(5.0, 2_000)
     theta = 1.5
-    for i in range(20):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(21, i))
+    for values in stems_of(grid, 21, range(20)):
+        stem = Path(grid, values)
         branch = reflect_after_last_visit(stem, theta)
         mask = branch.values != stem.values
         if not mask.any():
@@ -86,8 +90,8 @@ def test_reflection_identity_mirror_images():
 def test_sign_separation_on_reflected_indices():
     grid = TimeGrid(5.0, 2_000)
     theta = 2.0
-    for i in range(20):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(22, i))
+    for values in stems_of(grid, 22, range(20)):
+        stem = Path(grid, values)
         branch = reflect_after_last_visit(stem, theta)
         mask = branch.values != stem.values
         d = stem.values - line_value(theta, grid.times())
@@ -97,7 +101,8 @@ def test_sign_separation_on_reflected_indices():
 # ------------------------------------------------------------ germ transform
 
 def test_germ_transform_zero_drift_is_identity():
-    w = sample_bm(TimeGrid(1.0, 32), DriftedLaw(0.0, 0.0), substream(2, 0))
+    grid = TimeGrid(1.0, 32)
+    w = Path(grid, stems_of(grid, 2, [0])[0])
     for u in (0.0, 0.5, 1.0):
         assert germ_transform(w, u, 0.0) is w
 
@@ -149,7 +154,7 @@ def test_keep_branch_certain_when_endpoint_above_line(task, u, theta):
     # w(T) >= theta*T/2 makes the likelihood ratio >= 1, so the reflection
     # branch is unreachable for every u in [0, 1].
     grid = TimeGrid(1.0, 16)
-    w = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(23, task))
+    w = Path(grid, stems_of(grid, 23, [task])[0])
     lift = line_value(theta, grid.horizon) - w.values[-1] + 0.125
     if lift > 0:
         w = Path(grid, w.values + lift)
@@ -167,49 +172,35 @@ def test_keep_branch_at_exact_boundary():
 
 # --------------------------------------------------------- fragmentation time
 
+# The suite's germ recheck finds each pair's fragmentation index by its own
+# scan for the first bit-exact difference of stem and branch, one per row.
+
 def test_fragmentation_identical_paths():
-    w = path_of([0.0, 1.0, 2.0])
-    assert fragmentation_time(w, w) == math.inf
+    w = np.array([[0.0, 1.0, 2.0]])
+    assert _first_difference(w, w).tolist() == [3]
 
 
 def test_fragmentation_first_differing_index():
-    grid = TimeGrid(1.0, 2)
-    p1 = Path(grid, np.array([0.0, 1.5, 2.1]))
-    p2 = Path(grid, np.array([0.0, -0.5, -0.1]))
-    assert fragmentation_time(p1, p2) == 0.5
+    a = np.array([[0.0, 1.5, 2.1], [0.0, 1.0, 2.0]])
+    b = np.array([[0.0, -0.5, -0.1], [0.0, 1.0, 2.0]])
+    assert _first_difference(a, b).tolist() == [1, 3]
 
 
 def test_fragmentation_final_point_only():
-    grid = TimeGrid(3.0, 3)
-    p1 = Path(grid, np.array([0.0, 1.0, 2.0, 3.0]))
-    p2 = Path(grid, np.array([0.0, 1.0, 2.0, 4.0]))
-    assert fragmentation_time(p1, p2) == 3.0
-
-
-def test_fragmentation_grid_mismatch():
-    p1 = path_of([0.0, 1.0], horizon=1.0)
-    p2 = path_of([0.0, 1.0], horizon=2.0)
-    with pytest.raises(ValueError, match="grid"):
-        fragmentation_time(p1, p2)
-
-
-def test_coupled_pair_grid_mismatch():
-    p1 = path_of([0.0, 1.0], horizon=1.0)
-    p2 = path_of([0.0, 1.0], horizon=2.0)
-    with pytest.raises(ValueError, match="grid"):
-        CoupledPair(p1, p2, 1.0, 0.5)
+    a = np.array([[0.0, 1.0, 2.0, 3.0]])
+    b = np.array([[0.0, 1.0, 2.0, 4.0]])
+    assert _first_difference(a, b).tolist() == [3]
 
 
 def test_sampled_pair_prefix_agreement():
+    # The pair's fragmentation time, the reflection start, is where stem
+    # and branch first differ, and that lies past t = 0.
     grid = TimeGrid(2.0, 500)
     for i in range(50):
-        pair = sample_coupled_pair(grid, 2.0, substream(24, i))
-        if pair.agreed_to_horizon:
-            assert np.array_equal(pair.stem.values, pair.branch.values)
-        else:
-            j = int(np.nonzero(pair.stem.values != pair.branch.values)[0][0])
-            assert j >= 1
-            assert pair.frag_time == grid.times()[j]
+        stem, branch, frag = sample_coupled_pair(grid, 2.0, substream(24, i))
+        k = first_difference(stem.tolist(), branch.tolist())
+        assert frag == (math.inf if k is None else grid.times()[k])
+        assert k is None or k >= 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,12 +216,12 @@ def test_bouquet_replay_shares_stem_and_frag_is_monotone(seed, n_steps, horizon,
     # `germsim bouquet` builds them.
     grid = TimeGrid(horizon, n_steps)
     pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
-    frags = [p.frag_time for p in pairs]
+    frags = [frag for _, _, frag in pairs]
     times = grid.times()
-    for pair, frag in zip(pairs, frags):
-        assert pair.stem.values.tobytes() == pairs[0].stem.values.tobytes()
+    for stem, branch, frag in pairs:
+        assert stem.tobytes() == pairs[0][0].tobytes()
         before = times < frag
-        assert pair.branch.values[before].tobytes() == pair.stem.values[before].tobytes()
+        assert branch[before].tobytes() == stem[before].tobytes()
     assert all(b <= a for a, b in zip(frags, frags[1:]))
 
 
@@ -273,15 +264,13 @@ def test_invert_requires_increasing_times_and_finite_values():
 
 def test_double_inversion_relative_error():
     grid = TimeGrid(2.0, 200)
-    worst = 0.0
-    for i in range(100):
-        p = sample_bm(grid, DriftedLaw(0.3, -0.1), substream(25, i))
-        s, once = invert_time(p.times, p.values, 0.1)
-        _, twice = invert_time(s, once, s[0])
-        orig = p.values[p.times >= 0.1]
-        nz = orig != 0
-        worst = max(worst, float(np.max(np.abs(twice[nz] - orig[nz]) / np.abs(orig[nz]))))
-    assert worst <= 1e-9
+    times = grid.times()
+    paths = sample_bm_rows(grid, DriftedLaw(0.3, -0.1), stream_words(25, np.arange(100), 200))
+    s, once = invert_time(times, paths, 0.1)
+    _, twice = invert_time(s, once, s[0])
+    orig = paths[:, times >= 0.1]
+    nz = orig != 0
+    assert np.max(np.abs(twice[nz] - orig[nz]) / np.abs(orig[nz])) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,7 +392,7 @@ def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on
     grid = TimeGrid(horizon, len(cells))
     ts = grid.times()
     vs = [0.0] + [line_value(line, t) if c is None else c for t, c in zip(ts[1:].tolist(), cells)]
-    times, censored = fragmentation_process(Path(grid, np.array(vs)), DriftGrid(tuple(thetas)))
+    times, censored = fragmentation_process(ts, np.array(vs), DriftGrid(tuple(thetas)))
     assert list(zip(times.tolist(), censored.tolist())) == [_frag_rule(ts, vs, th) for th in thetas]
 
 
@@ -417,13 +406,59 @@ def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on
 )
 def test_fragmentation_process_is_the_reflected_pairs_frag_time(seed, n_steps, horizon, thetas):
     # Every pair replays one stream, so all share the stem and its uniform;
-    # a reflected pair's frag_time is the process entry at its drift.
+    # where a pair's stem and branch first differ is the process entry at
+    # its drift.
     grid = TimeGrid(horizon, n_steps)
+    ts = grid.times().tolist()
     pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
-    times, _ = fragmentation_process(pairs[0].stem, DriftGrid(tuple(thetas)))
-    for pair, entry in zip(pairs, times.tolist()):
-        if not pair.agreed_to_horizon:
-            assert entry.hex() == pair.frag_time.hex()
+    times, _ = fragmentation_process(grid.times(), pairs[0][0], DriftGrid(tuple(thetas)))
+    for (stem, branch, frag), entry in zip(pairs, times.tolist()):
+        k = first_difference(stem.tolist(), branch.tolist())
+        if k is not None:
+            assert entry.hex() == frag.hex() == ts[k].hex()
+
+
+def _outcome(fn, times, stems, dgrid):
+    """The arrays ``fn`` returns, or the message of the error it raises."""
+    try:
+        return fn(times, stems, dgrid)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_rows=st.integers(1, 5),
+    n_steps=st.integers(1, 60),
+    horizon=st.floats(0.05, 20.0),
+    thetas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+                    min_size=1, max_size=6, unique=True).map(sorted),
+    on=st.one_of(st.none(), st.integers(0, 5)),
+)
+# theta = 0 on a one-step grid, where the dual's window holds one point; a
+# stem ending exactly on a line of the grid.
+@example(seed=0, n_rows=2, n_steps=1, horizon=1.0, thetas=[0.0, 1.0], on=None)
+@example(seed=1, n_rows=3, n_steps=8, horizon=2.0, thetas=[0.0, 0.5, 2.0], on=2)
+def test_fragmentation_process_rows_match_per_row_calls(seed, n_rows, n_steps, horizon,
+                                                         thetas, on):
+    # A rows array gives, bit for bit, the stack of the one-row calls, or
+    # the same error.
+    grid = TimeGrid(horizon, n_steps)
+    times = grid.times()
+    stems = stems_of(grid, seed, range(n_rows))
+    if on is not None:
+        stems[on % n_rows, -1] = line_value(thetas[on % len(thetas)], horizon)
+    dgrid = DriftGrid(tuple(thetas))
+    for fn in (fragmentation_process, fragmentation_process_dual):
+        rows = _outcome(fn, times, stems, dgrid)
+        per_row = [_outcome(fn, times, stem, dgrid) for stem in stems]
+        if isinstance(rows, str):
+            assert per_row == [rows] * n_rows
+            continue
+        for got, want in zip(rows, zip(*per_row)):
+            assert got.shape == (n_rows, len(thetas))
+            assert got.tobytes() == np.stack(want).tobytes()
 
 
 def test_meeting_duality_single_pair():
@@ -444,12 +479,10 @@ def test_inverted_marginal_matches_swapped_law():
     # with marginal N(theta + delta*s, s) at inverted time s.
     theta, delta = 1.0, 0.5
     grid = TimeGrid(2.0, 8)
-    vals = []
-    for i in range(4_000):
-        p = sample_bm(grid, DriftedLaw(theta, delta), substream(26, i))
-        s, inv = invert_time(p.times, p.values, 0.25)
-        vals.append(inv[np.argmin(np.abs(s - 0.5))])
+    paths = sample_bm_rows(grid, DriftedLaw(theta, delta), stream_words(26, np.arange(4_000), 8))
+    s, inv = invert_time(grid.times(), paths, 0.25)
+    vals = inv[:, np.argmin(np.abs(s - 0.5))]
     s = 0.5
     mean, sd = theta + delta * s, math.sqrt(s)
-    stat = ks_statistic(Ecdf(np.array(vals)), lambda x: std_normal_cdf((x - mean) / sd))
+    stat = ks_statistic(Ecdf(vals), lambda x: std_normal_cdf((x - mean) / sd))
     assert stat < ks_threshold(4_000, 0.001)

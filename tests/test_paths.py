@@ -15,10 +15,10 @@ from germsim.paths import (
     TimeGrid,
     line_value,
     read_csv,
-    sample_bm,
+    sample_bm_rows,
     write_csv,
 )
-from germsim.rng import substream
+from germsim.rng import stream_words
 
 
 def test_grid_validation():
@@ -77,41 +77,35 @@ def test_line_value():
 
 
 def test_sample_start_value_exact():
-    p = sample_bm(TimeGrid(1.0, 1), DriftedLaw(0.0, 5.0), substream(0, 0))
-    assert p.values[0] == 5.0
+    rows = sample_bm_rows(TimeGrid(1.0, 1), DriftedLaw(0.0, 5.0), stream_words(0, [0, 1], 1))
+    assert rows[:, 0].tolist() == [5.0, 5.0]
 
 
 def test_endpoint_moments_driftless():
-    ends = np.array([
-        sample_bm(TimeGrid(1.0, 4), DriftedLaw(0.0, 0.0), substream(2, i)).values[-1]
-        for i in range(10_000)
-    ])
+    words = stream_words(2, np.arange(10_000), 4)
+    ends = sample_bm_rows(TimeGrid(1.0, 4), DriftedLaw(0.0, 0.0), words)[:, -1]
     assert abs(ends.mean()) < 0.03
     assert abs(ends.var(ddof=1) - 1.0) < 0.05
 
 
 def test_endpoint_mean_with_drift():
-    ends = np.array([
-        sample_bm(TimeGrid(1.0, 4), DriftedLaw(2.0, 0.0), substream(3, i)).values[-1]
-        for i in range(10_000)
-    ])
+    words = stream_words(3, np.arange(10_000), 4)
+    ends = sample_bm_rows(TimeGrid(1.0, 4), DriftedLaw(2.0, 0.0), words)[:, -1]
     assert abs(ends.mean() - 2.0) < 0.03
 
 
 def test_increment_moments():
     grid = TimeGrid(1.0, 8)
-    incs = []
-    for i in range(5_000):
-        p = sample_bm(grid, DriftedLaw(1.5, 0.0), substream(4, i))
-        incs.append(np.diff(p.values))
-    incs = np.concatenate(incs)
+    paths = sample_bm_rows(grid, DriftedLaw(1.5, 0.0), stream_words(4, np.arange(5_000), 8))
+    incs = np.diff(paths, axis=1).ravel()
     dt = grid.dt
     assert abs(incs.mean() - 1.5 * dt) < 3 * math.sqrt(dt / incs.size)
     assert abs(incs.var(ddof=1) - dt) < 3 * dt * math.sqrt(2.0 / incs.size)
 
 
 def test_csv_round_trip_exact():
-    p = sample_bm(TimeGrid(3.0, 17), DriftedLaw(0.7, -0.2), substream(5, 0))
+    grid = TimeGrid(3.0, 17)
+    p = Path(grid, sample_bm_rows(grid, DriftedLaw(0.7, -0.2), stream_words(5, [0], 17))[0])
     buf = io.StringIO()
     write_csv(p, buf)
     back = read_csv(io.StringIO(buf.getvalue()))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from germsim.paths import DriftedLaw, Path, TimeGrid, line_value, sample_bm
-from germsim.rng import substream
+from germsim.paths import DriftedLaw, TimeGrid, line_value, sample_bm_rows
+from germsim.rng import stream_words, substream
 from germsim.stats import Ecdf, ks_statistic, levy_cdf
 from germsim.subordinator import (
     DriftGrid,
@@ -44,9 +44,16 @@ def test_drift_grid_rejects_non_numeric(bad):
         DriftGrid(bad)
 
 
+def _stems(grid, seed, n):
+    """Driftless stems of the streams ``(seed, 0)`` to ``(seed, n - 1)``, one per row."""
+    words = stream_words(seed, np.arange(n), grid.n_steps)
+    return sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+
+
 def test_zero_drift_entry_is_horizon_censored():
-    stem = sample_bm(TimeGrid(1.0, 100), DriftedLaw(0.0, 0.0), substream(31, 0))
-    times, censored = fragmentation_process(stem, DriftGrid((0.0, 1.0)))
+    grid = TimeGrid(1.0, 100)
+    times, censored = fragmentation_process(grid.times(), _stems(grid, 31, 1)[0],
+                                            DriftGrid((0.0, 1.0)))
     assert times[0] == math.inf
     assert censored[0]
 
@@ -57,8 +64,8 @@ def test_stem_on_line_reports_horizon():
     # keep branch fires: the pair agrees to the horizon.
     grid = TimeGrid(2.0, 8)
     theta0 = 1.0
-    stem = Path(grid, line_value(theta0, grid.times()))
-    times, censored = fragmentation_process(stem, DriftGrid((theta0,)))
+    stem = line_value(theta0, grid.times())
+    times, censored = fragmentation_process(grid.times(), stem, DriftGrid((theta0,)))
     assert times[0] == math.inf
     assert censored[0]
 
@@ -66,30 +73,36 @@ def test_stem_on_line_reports_horizon():
 def test_fragmentation_process_monotone_on_samples():
     grid = TimeGrid(10.0, 500)
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
-    for i in range(200):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(32, i))
-        times, _ = fragmentation_process(stem, dgrid)
-        # Compared, not differenced: inf - inf is nan.
-        assert np.all(times[1:] <= times[:-1])
+    times, _ = fragmentation_process(grid.times(), _stems(grid, 32, 200), dgrid)
+    # Compared, not differenced: inf - inf is nan.
+    assert np.all(times[:, 1:] <= times[:, :-1])
 
 
 def test_dual_agrees_within_one_cell():
     grid = TimeGrid(10.0, 500)
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
-    for i in range(100):
-        stem = sample_bm(grid, DriftedLaw(0.0, 0.0), substream(33, i))
-        direct = (a.tolist() for a in fragmentation_process(stem, dgrid))
-        dual = (a.tolist() for a in fragmentation_process_dual(stem, dgrid))
-        for t1, c1, t2, c2 in zip(*direct, *dual):
-            assert c1 == c2
-            assert t1 == t2 or abs(t1 - t2) < grid.dt / 2
+    stems = _stems(grid, 33, 100)
+    direct, c_direct = fragmentation_process(grid.times(), stems, dgrid)
+    dual, c_dual = fragmentation_process_dual(grid.times(), stems, dgrid)
+    assert np.array_equal(c_direct, c_dual)
+    differ = direct != dual
+    assert np.all(np.abs(direct[differ] - dual[differ]) < grid.dt / 2)
+
+
+def test_fragmentation_process_rejects_bad_stems():
+    times = TimeGrid(1.0, 2).times()
+    with pytest.raises(ValueError, match="^stems must hold one value per time"):
+        fragmentation_process(times, np.zeros((2, 4)), DriftGrid((1.0,)))
+    with pytest.raises(ValueError, match="^stem must start at 0"):
+        fragmentation_process(times, np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]),
+                              DriftGrid((1.0,)))
 
 
 def test_dual_line_stem_round_trip():
     grid = TimeGrid(2.0, 8)
     theta0 = 1.0
-    stem = Path(grid, line_value(theta0, grid.times()))
-    times, censored = fragmentation_process_dual(stem, DriftGrid((theta0,)))
+    stem = line_value(theta0, grid.times())
+    times, censored = fragmentation_process_dual(grid.times(), stem, DriftGrid((theta0,)))
     # Inverted path is the constant theta0/2, so the first inverted point
     # is on the level: the stem ends on its line and the pair is kept.
     assert times[0] == math.inf
@@ -98,8 +111,8 @@ def test_dual_line_stem_round_trip():
 
 def test_dual_censors_unreachable_levels():
     grid = TimeGrid(2.0, 8)
-    stem = Path(grid, line_value(1.0, grid.times()))
-    times, censored = fragmentation_process_dual(stem, DriftGrid((50.0,)))
+    stem = line_value(1.0, grid.times())
+    times, censored = fragmentation_process_dual(grid.times(), stem, DriftGrid((50.0,)))
     # No inverted point reaches 25: the stem meets the line only at t = 0,
     # so the reflection starts one cell in, as `couple` reports it.
     assert times[0] == grid.dt
