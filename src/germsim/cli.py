@@ -131,7 +131,11 @@ def _write_table(out: FsPath, name: str, fmt: str, columns, rows, csv_columns=No
     _write_text(out / f"{name}.csv", "\n".join(lines) + "\n")
 
 
-_FRAG_COLUMNS = ("theta", "tau_frag", "censored")
+def _write_frag_process(out: FsPath, fmt: str, i: int, thetas, frags) -> None:
+    """Write path ``i``'s fragmentation time at each drift.  An entry is
+    censored iff its time is ``inf``: the pair agreed to the horizon."""
+    _write_table(out, f"frag_process_{i:05d}", fmt, ("theta", "tau_frag", "censored"),
+                 [(theta, frag, frag == math.inf) for theta, frag in zip(thetas, frags)])
 
 
 def _stems(cfg: RunConfig):
@@ -187,9 +191,7 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
         write_csv(Path(grid, pairs[0][0]), out / f"stem_{i:05d}.csv")
         for j, (_, branch, _) in enumerate(pairs):
             write_csv(Path(grid, branch), out / f"branch_{i:05d}_theta{j}.csv")
-        frags = [frag for _, _, frag in pairs]
-        _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
-                     [(theta, frag, frag == math.inf) for theta, frag in zip(thetas, frags)])
+        _write_frag_process(out, cfg.fmt, i, thetas, [frag for _, _, frag in pairs])
     _write_json(out / "manifest.json", cfg.manifest("bouquet"))
     return out
 
@@ -200,10 +202,9 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
     out = _out_dir(cfg)
     times = cfg.grid().times()
     for ids, stems in _stems(cfg):
-        frags, censored = fragmentation_process(times, stems, dgrid)
-        for i, row, flags in zip(ids, frags.tolist(), censored.tolist()):
-            _write_table(out, f"frag_process_{i:05d}", cfg.fmt, _FRAG_COLUMNS,
-                         zip(dgrid.thetas, row, flags))
+        frags, _ = fragmentation_process(times, stems, dgrid)
+        for i, row in zip(ids, frags.tolist()):
+            _write_frag_process(out, cfg.fmt, i, dgrid.thetas, row)
     _write_json(out / "manifest.json", cfg.manifest("frag-process"))
     return out
 

@@ -71,17 +71,17 @@ def _finite_branch(grid, theta: float, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def validate_theta(theta: float) -> float:
+def validate_theta(theta: float, name: str = "theta") -> float:
     """``theta`` as a Python float; a drift the germ transform is not
-    defined for is rejected."""
+    defined for is rejected under ``name``."""
     value = _real(theta)
     if value is None:
-        raise ValueError(f"theta must be a real number, got {theta!r}")
+        raise ValueError(f"{name} must be a real number, got {theta!r}")
     if not math.isfinite(value):
-        raise ValueError(f"theta must be finite, got {theta}")
+        raise ValueError(f"{name} must be finite, got {theta}")
     if value < 0:
         raise ValueError(
-            "theta must be >= 0; for a negative drift use the negation "
+            f"{name} must be >= 0; for a negative drift use the negation "
             "symmetry: negate germ_transform(-w, u, -theta)"
         )
     return value
@@ -131,7 +131,7 @@ def sample_coupled_pair(grid, theta: float, stream: RngStream):
     # A log ratio of inf - inf is nan, which reflects; _finite_branch
     # rejects a reflection that overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        stems, branches, start = couple_rows(grid, theta, stream._words(grid.n_steps + 1)[None])
+        stems, branches, start = couple_rows(grid, theta, stream.words(grid.n_steps + 1)[None])
     frag_time = float(np.append(grid.times(), math.inf)[start[0]])
     return stems[0], _finite_branch(grid, theta, branches[0]), frag_time
 

@@ -16,10 +16,11 @@ offset variant ``(word >> 11 + 0.5) * 2**-53``, which never hits 0.  From
 ``2**-53`` per word.  The inverse CDF is ``scipy.special.ndtri``, fixed per
 release.
 
-:func:`stream_words` draws the words of many streams in one call and
+:class:`RngStream` draws one stream's words in order, and
+:func:`stream_words` draws the words of many streams in one call.
 :func:`uniform01_from_words` / :func:`normal_from_words` are the only
-word-to-variate rules, shared by :class:`RngStream` and the batched path
-samplers, so batched and per-stream draws agree bit for bit.
+word-to-variate rules, so every variate, per stream or in rows, agrees bit
+for bit with any other route to the same words.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ def _check_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_size(size) -> int:
-    """A draw count: an integer, at least 0."""
-    size = _check_int("size", size)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    return size
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -99,21 +92,10 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def _words(self, n: int) -> np.ndarray:
+    def words(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` words; consecutive calls continue where
+        the last one stopped."""
         return self._bits.random_raw(n)
-
-    def uniform01(self, size: int | None = None):
-        """Uniform draw(s) on ``[0, 1)`` with 53-bit resolution.
-
-        Returns a float when ``size`` is None, else an array of ``size`` draws.
-        """
-        u = uniform01_from_words(self._words(1 if size is None else _check_size(size)))
-        return float(u[0]) if size is None else u
-
-    def standard_normal(self, size: int | None = None):
-        """N(0, 1) draw(s) via the inverse-CDF transform, one word per variate."""
-        z = normal_from_words(self._words(1 if size is None else _check_size(size)))
-        return float(z[0]) if size is None else z
 
 
 def substream(seed: int, task_id: int) -> RngStream:
@@ -154,9 +136,8 @@ def _philox_rows(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
 def stream_words(seed: int, ids, n: int) -> np.ndarray:
     """The first ``n`` words of each stream ``(seed, id)``, one row per id.
 
-    Row r equals ``RngStream(seed, ids[r])`` drawing ``n`` words, so the
-    rows feed :func:`uniform01_from_words` and :func:`normal_from_words`
-    exactly as the stream's own draws do.  Short rows come from the numpy
+    Row r equals ``RngStream(seed, ids[r]).words(n)``, so a row and the
+    stream give the same variates.  Short rows come from the numpy
     Philox over all keys at once; rows longer than ``KEYED_MAX_WORDS``
     from one C Philox per key.
     """

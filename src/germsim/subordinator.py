@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _reflection_start, invert_time
-from .paths import _real
-from .rng import RngStream
+from .coupling import _reflection_start, invert_time, validate_theta
 
 
 @dataclass(frozen=True)
@@ -29,17 +27,12 @@ class DriftGrid:
 
     def __post_init__(self):
         try:
-            thetas = tuple(map(_real, self.thetas))
+            thetas = tuple(validate_theta(t, "thetas") for t in self.thetas)
         except TypeError:  # not iterable
-            thetas = (None,)
-        if None in thetas:
-            raise ValueError(f"thetas must be real numbers, got {self.thetas!r}")
+            raise ValueError(f"thetas must be a sequence of real numbers, "
+                             f"got {self.thetas!r}") from None
         if len(thetas) == 0:
             raise ValueError("thetas must be nonempty")
-        if not all(math.isfinite(t) for t in thetas):
-            raise ValueError(f"thetas must all be finite, got {thetas}")
-        if any(t < 0 for t in thetas):
-            raise ValueError("thetas must all be >= 0")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("thetas must be strictly increasing")
         object.__setattr__(self, "thetas", thetas)
@@ -100,13 +93,13 @@ def fragmentation_process_dual(times, stems, grid: DriftGrid) -> tuple[np.ndarra
     return recip[first], first <= 1
 
 
-def sample_passage_time(level: float, stream: RngStream, size: int | None = None):
-    """Exact draw(s) of the first passage time of standard BM to ``level``.
+def sample_passage_time(level: float, z):
+    """First passage times of standard BM to ``level``, one per standard
+    normal in ``z``.
 
     Uses the identity T_a = a^2 / Z^2 in distribution with Z standard
     normal, so the sampler is exact (no path discretization).
     """
     if not level > 0:
         raise ValueError(f"level must be > 0, got {level}")
-    z = stream.standard_normal(size)
     return level * level / (z * z)

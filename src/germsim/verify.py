@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import couple_rows, first_meeting, invert_time
 from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
-from .rng import _check_u64, _chunks, stream_words, substream
+from .rng import _check_u64, _chunks, normal_from_words, stream_words, uniform01_from_words
 from .stats import (
     Ecdf,
     GofReport,
@@ -243,7 +243,8 @@ def _criterion_5(cfg: VerifyConfig) -> list[GofReport]:
 
 def _criterion_6(cfg: VerifyConfig, summary: _CoupleSummary) -> list[GofReport]:
     n_draws = _scaled(10_000, cfg.scale, 1_000)
-    draws = sample_passage_time(1.0, substream(cfg.seed, _ns(6)), size=n_draws)
+    z = normal_from_words(stream_words(cfg.seed, [_ns(6)], n_draws)[0])
+    draws = sample_passage_time(1.0, z)
     stat = ks_statistic(Ecdf(draws), lambda t: levy_cdf(1.0, t), support=(0.0, math.inf))
 
     # Reciprocal fragmentation times against the passage law.  Samples at
@@ -286,21 +287,20 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
 
     # Synthetic piecewise-linear pairs with a known last meeting time m:
     # under inversion the first meeting must land within one inverted-grid
-    # cell of 1/m.
+    # cell of 1/m.  Pair i reads words 0-3 of stream ns(17) | i as
+    # uniforms and words 4-11 as the normals of its base path.
     n_pairs = _scaled(1_000, cfg.scale, 100)
     fine = TimeGrid(10.0, 2_000)
     fine_t = fine.times()
     pair_t_min = 0.05
 
-    def pair_one(i: int) -> bool:
-        st = substream(cfg.seed, _ns(17) | i)
-        u = st.uniform01(4)
+    def pair_meets(u: np.ndarray, z: np.ndarray) -> bool:
         m = 0.2 + 4.8 * u[0]
         tail_slope = 0.5 + 1.5 * u[1]
         sign = 1.0 if u[2] < 0.5 else -1.0
         h0 = 0.5 + u[3]
         anchors_t = np.linspace(0.0, fine.horizon, 9)
-        anchors_v = np.concatenate([[0.0], np.cumsum(st.standard_normal(8))])
+        anchors_v = np.concatenate([[0.0], np.cumsum(z)])
         base = np.interp(fine_t, anchors_t, anchors_v)
         # The gap crosses zero transversally at m/2 and at m and nowhere
         # else; m is the last meeting time of the pair.  The overall sign
@@ -321,7 +321,11 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         cell = float(s[j] - s[j - 1])
         return abs(met - expect) <= cell
 
-    bad = sum(1 for i in range(n_pairs) if not pair_one(i))
+    bad = 0
+    for ids in _chunks(n_pairs, 12):
+        words = stream_words(cfg.seed, _ns(17) | ids, 12)
+        u, z = uniform01_from_words(words[:, :4]), normal_from_words(words[:, 4:])
+        bad += sum(not pair_meets(*row) for row in zip(u, z))
     return [inv_rep, _report(cfg, "c07_meeting_duality", n_pairs, bad / n_pairs, 0.0,
                              t_min=pair_t_min)]
 

@@ -7,8 +7,9 @@ the stem increments, a backward sweep that reflects the tail after the
 last grid visit to the line theta * t / 2, the keep rule
 ``u <= exp(theta * w(T) - theta^2 * T / 2)``, and a scan for the first
 index where stem and branch differ.  It shares only the word stream
-(``RngStream``) and the grid times (``TimeGrid.times``) with germsim, so
-the tests compare two implementations, not one with itself.
+(``RngStream.words``), the word-to-variate rules (``normal_from_words``,
+``uniform01_from_words``) and the grid times (``TimeGrid.times``) with
+germsim, so the tests compare two implementations, not one with itself.
 
 It also holds the path CSV format as one loop step per row: a writer of
 ``repr`` cells and a reader that parses, checks and cites each line in
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from germsim.paths import CsvFormatError, Path, TimeGrid
-from germsim.rng import RngStream
+from germsim.rng import RngStream, normal_from_words, uniform01_from_words
 
 
 def coupled_pair(times, horizon, theta, stream):
@@ -29,10 +30,11 @@ def coupled_pair(times, horizon, theta, stream):
     for the stem increments, then one for the uniform."""
     n_steps = len(times) - 1
     sd = math.sqrt(horizon / n_steps)
+    words = stream.words(n_steps + 1)
     stem = [0.0]
-    for z in stream.standard_normal(n_steps).tolist():
+    for z in normal_from_words(words[:n_steps]).tolist():
         stem.append(stem[-1] + sd * z)
-    u = stream.uniform01()
+    u = float(uniform01_from_words(words[n_steps:])[0])
     x = theta * stem[-1] - 0.5 * theta * theta * horizon
     kept = x >= 0 or u <= math.exp(x)
     branch = list(stem)

@@ -47,7 +47,7 @@ def test_layer_philox_stream_words():
     # Both routes: the numpy Philox over an array of keys and numpy's C Philox.
     for (seed, stream_id), want in PHILOX_WORDS.items():
         batched = stream_words(seed, [stream_id], 8)[0]
-        keyed = RngStream(seed, stream_id)._words(8)
+        keyed = RngStream(seed, stream_id).words(8)
         assert [f"{w:016x}" for w in batched.tolist()] == want
         assert [f"{w:016x}" for w in keyed.tolist()] == want
 

@@ -424,6 +424,21 @@ def test_frag_process_command(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_frag_process_censors_like_bouquet_at_the_horizon(tmp_path, fmt):
+    # On this stem theta = 0.5 fragments at the horizon itself.  Only a
+    # pair that agrees to the horizon (time inf) is censored, in both tables.
+    args = ["--seed", "24", "--paths", "1", "--steps", "4", "--horizon", "4",
+            "--thetas", "0.5,2", "--format", fmt]
+    assert main(["bouquet", *args, "--out", str(tmp_path / "B")]) == 0
+    assert main(["frag-process", *args, "--out", str(tmp_path / "F")]) == 0
+    name = f"frag_process_00000.{fmt}"
+    assert _read(tmp_path / "F" / name) == _read(tmp_path / "B" / name)
+    if fmt == "csv":
+        rows = (tmp_path / "F" / name).read_text().splitlines()
+        assert rows[1:] == ["0.5,4.0,false", "2.0,1.0,false"]
+
+
 def test_frag_process_at_the_largest_horizon(tmp_path, capsys):
     # At theta = 1e300 the line theta * t / 2 is beyond a double after
     # t = 0, so every stem is below it from the first cell on.  Tests turn

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germsim.rng import substream
+from germsim.rng import stream_words, uniform01_from_words
 from germsim.stats import (
     Ecdf,
     GofReport,
@@ -128,7 +128,7 @@ def test_ks_against_zero_cdf():
 
 
 def test_ks_null_draws_within_threshold():
-    u = substream(41, 0).uniform01(10_000)
+    u = uniform01_from_words(stream_words(41, [0], 10_000)[0])
     stat = ks_statistic(Ecdf(u), lambda x: np.clip(x, 0.0, 1.0))
     assert stat < ks_threshold(10_000, 0.001)
 

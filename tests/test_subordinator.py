@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from germsim.coupling import validate_theta
 from germsim.paths import DriftedLaw, TimeGrid, line_value, sample_bm_rows
-from germsim.rng import stream_words, substream
+from germsim.rng import normal_from_words, stream_words
 from germsim.stats import Ecdf, ks_statistic, levy_cdf
 from germsim.subordinator import (
     DriftGrid,
@@ -14,18 +15,10 @@ from germsim.subordinator import (
 )
 
 
-class _FixedStream:
-    def __init__(self, z):
-        self._z = z
-
-    def standard_normal(self, size=None):
-        return self._z if size is None else np.full(size, self._z)
-
-
 def test_drift_grid_validation():
     with pytest.raises(ValueError):
         DriftGrid(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^thetas must be >= 0"):
         DriftGrid((-1.0, 2.0))
     with pytest.raises(ValueError):
         DriftGrid((1.0, 1.0))
@@ -34,14 +27,25 @@ def test_drift_grid_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_drift_grid_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="thetas must all be finite"):
+    with pytest.raises(ValueError, match="^thetas must be finite"):
         DriftGrid((1.0, bad))
 
 
 @pytest.mark.parametrize("bad", [("a",), (None,), ("1.5",), "1,2", None, 2.0])
 def test_drift_grid_rejects_non_numeric(bad):
-    with pytest.raises(ValueError, match="^thetas must be real numbers"):
+    with pytest.raises(ValueError, match="^thetas must be a (sequence of )?real number"):
         DriftGrid(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0, "a"])
+def test_drift_grid_rejects_each_drift_as_validate_theta_does(bad):
+    # One theta rule: a grid rejects a drift with validate_theta's message,
+    # under the name thetas.
+    with pytest.raises(ValueError) as want:
+        validate_theta(bad, "thetas")
+    with pytest.raises(ValueError) as got:
+        DriftGrid((0.5, bad))
+    assert str(got.value) == str(want.value)
 
 
 def _stems(grid, seed, n):
@@ -120,17 +124,18 @@ def test_dual_censors_unreachable_levels():
 
 
 def test_passage_sampler_formula():
-    assert sample_passage_time(1.0, _FixedStream(2.0)) == 0.25
-    assert sample_passage_time(3.0, _FixedStream(-1.5)) == 4.0
+    assert sample_passage_time(1.0, 2.0) == 0.25
+    assert sample_passage_time(3.0, -1.5) == 4.0
+    assert sample_passage_time(1.0, np.array([2.0, -0.5])).tolist() == [0.25, 4.0]
 
 
 def test_passage_sampler_rejects_bad_level():
     with pytest.raises(ValueError, match="level"):
-        sample_passage_time(0.0, _FixedStream(1.0))
+        sample_passage_time(0.0, 1.0)
 
 
 def test_passage_sampler_ks():
-    draws = sample_passage_time(1.0, substream(36, 0), size=10_000)
+    draws = sample_passage_time(1.0, normal_from_words(stream_words(36, [0], 10_000)[0]))
     stat = ks_statistic(Ecdf(draws), lambda t: levy_cdf(1.0, t), support=(0.0, math.inf))
     assert stat < 0.0193  # alpha = 0.001 critical value for n = 1e4
 
@@ -139,5 +144,5 @@ def test_passage_sampler_median():
     # Analytic median of the level-1 passage law: (1 / Phi^-1(0.75))^2.
     median = (1.0 / 0.6744897501960817) ** 2
     assert math.isclose(levy_cdf(1.0, median), 0.5, abs_tol=1e-12)
-    draws = sample_passage_time(1.0, substream(37, 0), size=10_000)
+    draws = sample_passage_time(1.0, normal_from_words(stream_words(37, [0], 10_000)[0]))
     assert abs(float(np.median(draws)) - median) < 0.16
