@@ -17,8 +17,17 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import germ_transform, sample_coupled_pair, validate_theta
-from .paths import DriftedLaw, Path, TimeGrid, _write_text, read_csv, sample_bm_rows, write_csv
+from .coupling import germ_transform, sample_coupled_pair, validate_theta, validate_u
+from .paths import (
+    CsvFormatError,
+    DriftedLaw,
+    Path,
+    TimeGrid,
+    _write_text,
+    read_csv,
+    sample_bm_rows,
+    write_csv,
+)
 from .rng import _check_int, _check_u64, _chunks, stream_words, substream
 from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
@@ -212,13 +221,18 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
 def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
     """Read a path CSV, apply the transform, write the result.
 
-    A file that cannot be read or written is reported under its flag,
-    ``in`` or ``out``, and the path given there.
+    ``theta`` and ``u`` are checked before the file is read.  A file that
+    cannot be read or written, or an input that is not a path CSV, is
+    reported under its flag, ``in`` or ``out``, and the path given there.
     """
+    validate_theta(theta)
+    validate_u(u)
     try:
         path = read_csv(source)
     except OSError as exc:
         raise ValueError(f"in: cannot read {source!r}: {exc.strerror or exc}") from None
+    except CsvFormatError as exc:
+        raise CsvFormatError(f"in: {source!r}: {exc}") from None
     branch = germ_transform(path, u, theta)
     try:
         write_csv(branch, destination)

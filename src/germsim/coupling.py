@@ -87,6 +87,14 @@ def validate_theta(theta: float, name: str = "theta") -> float:
     return value
 
 
+def validate_u(u: float) -> float:
+    """``u`` unchanged if it lies in [0, 1], the range of the uniform that
+    picks the germ transform's branch; rejected otherwise."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u must lie in [0, 1], got {u}")
+    return u
+
+
 def _log_likelihood_ratio(w_end, theta: float, horizon: float):
     return theta * w_end - 0.5 * theta * theta * horizon
 
@@ -111,8 +119,7 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
     over the samples.
     """
     validate_theta(theta)
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [0, 1], got {u}")
+    validate_u(u)
     if _keeps(u, _log_likelihood_ratio(float(w.values[-1]), theta, w.horizon)):
         return w
     return reflect_after_last_visit(w, theta)

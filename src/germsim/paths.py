@@ -163,8 +163,42 @@ def _write_text(destination, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# Rows that read_csv converts at a time: about 150 kB of cell strings.
+# Rows that read_csv splits into cells at a time: about 150 kB of cell strings.
 _READ_CHUNK_ROWS = 1024
+
+_TOO_FEW_ROWS = "need at least 2 grid rows (n_steps >= 1)"
+
+
+class _GridError(Exception):
+    """A time column that is not a uniform grid: ``(row, message)``, the row
+    0-based among the data rows, ``None`` when the message cites none."""
+
+
+@functools.lru_cache(maxsize=8)
+def _time_grid(column: str) -> TimeGrid:
+    """The grid of a time column, its cells joined by commas.
+
+    Kept for the 8 most recently used columns, so a process that reads many
+    files on one grid converts and checks their times once.  A column that
+    is not a grid raises, and so is never kept: ``ValueError`` for a cell
+    that is not a finite number, :class:`_GridError` otherwise.
+    """
+    ts = np.fromiter(map(float, column.split(",")), dtype=np.float64)
+    if not np.isfinite(ts).all():
+        raise ValueError
+    if ts.size < 2:
+        raise _GridError(None, _TOO_FEW_ROWS)
+    if ts[0] != 0.0:
+        raise _GridError(0, f"grid must start at t=0, got {float(ts[0])!r}")
+    if ts[-1] <= 0.0:
+        raise _GridError(ts.size - 1, "last time (the horizon) must be > 0, "
+                                      f"got {float(ts[-1])!r}")
+    grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
+    tol = 1e-9 * max(1.0, grid.horizon)
+    off = np.flatnonzero(np.abs(ts - grid.times()) > tol)
+    if off.size:
+        raise _GridError(int(off[0]), f"time {float(ts[off[0]])!r} deviates from the uniform grid")
+    return grid
 
 
 def read_csv(source) -> Path:
@@ -183,42 +217,36 @@ def read_csv(source) -> Path:
     if not lines or lines[0].strip() != "t,value":
         raise CsvFormatError("line 1: expected header 't,value'")
     body = list(filter(str.strip, islice(lines, 1, None)))
+    if not body:
+        raise CsvFormatError(_TOO_FEW_ROWS)
     # Check and convert all rows with no Python step per row; only a text
     # holding a row that is not two finite numbers is scanned row by row, to
     # find the line the error cites.  Every row holds one comma, so joining
     # rows with commas and splitting there gives their cells in order; a
-    # chunk of rows at a time bounds the cell strings alive at once.
+    # chunk of rows at a time bounds the cell strings alive at once.  The
+    # values are converted here; the time cells, joined back into one text,
+    # go to _time_grid, which converts a text it has not seen before.
     try:
         if set(map(str.count, body, repeat(","))) - {1}:
             raise ValueError
-        cells = np.empty(2 * len(body))
+        values = np.empty(len(body))
+        times = []
         for start in range(0, len(body), _READ_CHUNK_ROWS):
             chunk = ",".join(body[start:start + _READ_CHUNK_ROWS]).split(",")
-            cells[2 * start:2 * start + len(chunk)] = np.fromiter(
-                map(float, chunk), dtype=np.float64, count=len(chunk))
-        if not np.isfinite(cells).all():
+            times.append(",".join(chunk[0::2]))
+            values[start:start + len(chunk) // 2] = np.fromiter(
+                map(float, chunk[1::2]), dtype=np.float64, count=len(chunk) // 2)
+        if not np.isfinite(values).all():
             raise ValueError
+        grid = _time_grid(",".join(times))
     except ValueError:
         raise _row_error(lines) from None
-    ts, vs = cells[0::2], np.ascontiguousarray(cells[1::2])
-    if ts.size < 2:
-        raise CsvFormatError("need at least 2 grid rows (n_steps >= 1)")
-    if ts[0] != 0.0:
-        raise CsvFormatError(
-            f"line {_line_of_row(lines, 0)}: grid must start at t=0, got {float(ts[0])!r}"
-        )
-    if ts[-1] <= 0.0:
-        raise CsvFormatError(f"line {_line_of_row(lines, ts.size - 1)}: last time (the "
-                             f"horizon) must be > 0, got {float(ts[-1])!r}")
-    grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
-    tol = 1e-9 * max(1.0, grid.horizon)
-    off = np.flatnonzero(np.abs(ts - grid.times()) > tol)
-    if off.size:
-        raise CsvFormatError(
-            f"line {_line_of_row(lines, off[0])}: time {float(ts[off[0]])!r} "
-            "deviates from the uniform grid"
-        )
-    return Path(grid, vs)
+    except _GridError as exc:
+        row, message = exc.args
+        if row is not None:
+            message = f"line {_line_of_row(lines, row)}: {message}"
+        raise CsvFormatError(message) from None
+    return Path(grid, values)
 
 
 def _rows(lines):

@@ -535,6 +535,38 @@ def test_germ_transform_missing_file_names_its_flag(tmp_path, capsys, flag):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_germ_transform_bad_csv_names_its_flag_and_file(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("t,value\n0.0,0.0\n0.5,nan\n1.0,-0.5\n")
+    dst = tmp_path / "out.csv"
+    rc = main(["germ-transform", "--in", str(src), "--theta", "1", "--u", "0.5",
+               "--out", str(dst)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: in: {str(src)!r}: line 3: non-finite cell\n"
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("theta,u,message", [
+    ("nan", "0.5", "theta must be finite"),
+    ("-1", "0.5", "theta must be >= 0"),
+    ("1", "1.5", "u must lie in [0, 1]"),
+    ("1", "nan", "u must lie in [0, 1]"),
+])
+def test_germ_transform_checks_theta_and_u_before_reading(tmp_path, capsys, monkeypatch,
+                                                          theta, u, message):
+    # A bad flag is reported as itself, not as the malformed input, and the
+    # input is never parsed.
+    reads = []
+    monkeypatch.setattr(cli, "read_csv", lambda source: reads.append(source))
+    src = tmp_path / "in.csv"
+    src.write_text("t,value\n0.0,0.0\n0.5,bogus\n")
+    rc = main(["germ-transform", "--in", str(src), "--theta", theta, "--u", u,
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert reads == []
+
+
 def test_verify_rejects_infinite_scale(capsys):
     assert main(["verify", "--scale", "inf"]) == 2
     assert "scale must" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -322,3 +323,81 @@ _CELLS = ["0", "0.0", "-0.0", "0.5", "1", "1.0", " 1.0 ", "2", "1_0", "1e999", "
 def test_read_csv_agrees_on_generated_text(rows, newline):
     text = newline.join(["t,value", *rows]) + newline
     assert _outcome(lambda s: read_csv(io.StringIO(s)), text) == _outcome(read_csv_text, text)
+
+
+def _cells_text(grid, values, fmt, blank_before=None):
+    """A path CSV on ``grid`` with every cell formatted by ``fmt``, and a
+    blank line before data row ``blank_before`` if one is given."""
+    rows = [f"{fmt(t)},{fmt(v)}" for t, v in zip(grid.times().tolist(), values)]
+    if blank_before is not None:
+        rows.insert(blank_before, "")
+    return "\n".join(["t,value", *rows]) + "\n"
+
+
+def _with_time_cell(text, line, cell):
+    """``text`` with the time cell on its 1-based line ``line`` replaced by
+    ``cell``, a cell of the same length."""
+    lines = text.split("\n")
+    old, value = lines[line - 1].split(",")
+    assert len(cell) == len(old)
+    lines[line - 1] = f"{cell},{value}"
+    return "\n".join(lines)
+
+
+def test_time_column_cache_never_changes_an_outcome():
+    # read_csv checks a time column once per process.  Texts read in turn,
+    # good and bad, each give what the per-line reader gives, whatever was
+    # read before them.  Only the columns that pass enter the cache, and it
+    # holds at most 8 of them.
+    grid = TimeGrid(4.0, 8)  # every time is three characters: 0.0, 0.5, ..., 4.0
+    values = np.cos(np.arange(grid.n_steps + 1)).tolist()
+    good = _cells_text(grid, values, repr)
+    bad = [_with_time_cell(good, 5, cell) for cell in ("1.6", "1.x", "inf")]
+    texts = [
+        good,
+        _cells_text(grid, values, "%.17g".__mod__),  # same floats, other text
+        *bad,
+        _with_time_cell(good, 4, " 1."),  # a leading space: a third column
+        _cells_text(grid, values, repr, blank_before=1),  # good's column again
+        # Off the grid as bad[0] is, but cited one line further down.
+        _with_time_cell(_cells_text(grid, values, repr, blank_before=1), 6, "1.6"),
+        *bad,
+        good,
+        *(_cells_text(TimeGrid(4.0 + k, 8), values, repr) for k in range(1, 10)),
+        *bad,
+        good,
+    ]
+    # The cache as a model: least recently used first, bad columns never in.
+    model, misses = OrderedDict(), 0
+    paths._time_grid.cache_clear()
+    for text in texts * 2:
+        got = _outcome(lambda s: read_csv(io.StringIO(s)), text)
+        assert got == _outcome(read_csv_text, text)
+        column = ",".join(row.partition(",")[0] for row in text.splitlines()[1:] if row)
+        if column in model:
+            model.move_to_end(column)
+        else:
+            misses += 1
+            if isinstance(got[0], TimeGrid):
+                model[column] = got[0]
+            if len(model) > 8:
+                model.popitem(last=False)
+        info = paths._time_grid.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (misses, len(model), 8)
+
+
+def test_time_column_cache_checks_each_column_once():
+    # Files on several grids read in turn reuse each checked time column
+    # while the cache holds them all.  Past its size the least recently used
+    # go, so ten columns in turn miss on every read, and every path still
+    # carries its own grid and values.
+    few = [TimeGrid(1.0, 50), TimeGrid(10.0, 50), TimeGrid(1.0, 70)]
+    many = [TimeGrid(1.0 + k, 40 + k % 3) for k in range(10)]
+    for order, misses in ((few * 3 + few[::-1], len(few)), (many * 2, 2 * len(many))):
+        written = {g: Path(g, np.linspace(-1.0, 1.0, g.n_steps + 1)) for g in order}
+        texts = {g: _written(p) for g, p in written.items()}
+        paths._time_grid.cache_clear()
+        got = [read_csv(io.StringIO(texts[g])) for g in order]
+        assert paths._time_grid.cache_info().misses == misses
+        assert [p.grid for p in got] == order
+        assert all(np.array_equal(p.values, written[g].values) for p, g in zip(got, order))
