@@ -12,6 +12,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from . import _repr
 from .rng import _check_int, normal_from_words
 
 
@@ -130,21 +131,21 @@ def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.nda
 
 
 @functools.lru_cache(maxsize=8)
-def _csv_template(grid: TimeGrid) -> str:
-    """The text of :func:`write_csv` for ``grid``: the header, then one
-    ``f"{t!r},%r\\n"`` row per grid time, a ``%r`` slot for each value.
+def _time_cells(grid: TimeGrid) -> np.ndarray:
+    """The time cells of :func:`write_csv` for ``grid``: ``repr(t) + ","``
+    for each grid time, NUL-padded to the longest cell rounded up to a
+    multiple of 8 bytes (at most 24: a non-negative double and its comma).
 
-    Kept for the 8 most recently used grids; a template is ASCII and takes
-    at most 26 B per grid point (a 17-digit repr with an exponent, then
-    ``,%r\\n``)."""
-    times = grid.times().tolist()
-    return "t,value\n" + ("%r,%%r\n" * len(times)) % tuple(times)
+    Kept for the 8 most recently used grids: n_steps + 1 rows each."""
+    cells = [f"{t!r}," for t in grid.times().tolist()]
+    return np.array(cells, dtype=f"S{-(-max(map(len, cells)) // 8) * 8}")
 
 
 def write_csv(path: Path, destination) -> None:
     """Write ``t,value`` rows at full round-trip precision: each cell is the
-    ``repr`` of a Python float, and the times are ``path.grid.times()``."""
-    text = _csv_template(path.grid) % tuple(path.values.tolist())
+    ``repr`` of a Python float, and the times are ``path.grid.times()``.
+    The values are formatted a block at a time by :mod:`germsim._repr`."""
+    text = "".join(["t,value\n", *_repr.rows(_time_cells(path.grid), path.values)])
     if hasattr(destination, "write"):
         destination.write(text)
     else:

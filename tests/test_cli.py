@@ -705,3 +705,30 @@ def test_cli_output_bytes_unchanged(tmp_path):
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+# sha256 of files longer than one write_csv block of 4,096 values, as the
+# writers produced them when each cell was formatted by its own repr call:
+# a couple run's stems and branches and a sample path reflected by
+# germ-transform, each holding 10,001 or 15,001 rows.
+MULTI_BLOCK_SHA256 = {
+    "C/branch_00000.csv": "e9e3de6b2855ad6856a72605e7105b8b7929f0948f97000246e77e6a27e5e9d6",
+    "C/branch_00001.csv": "b2027af7073261368a767a3f2a8a3bd078e226b69b2e820f6f3b68dfbcdd1c15",
+    "C/stem_00000.csv": "f98bfb944721ce312008e26bdc41d20422b3888a16f1998eaad711bb5b28f467",
+    "C/stem_00001.csv": "61b2012bf6f02f95dbb1231e60a462fefea26526f35fcb1c87c9646d26bd0ef5",
+    "S/path_00000.csv": "3359986edf47fd0d7722e1d090582203c338f2ac1855d8a07618f53573b21d2e",
+    "T.csv": "dd9ea3d4cf5e17e5ef4be620baad4196751008f99fe1fda9b74f2843d8944762",
+}
+
+
+def test_multi_block_output_bytes_unchanged(tmp_path):
+    grid = ["--seed", "0", "--horizon", "10"]
+    assert main(["couple", *grid, "--paths", "2", "--steps", "10000", "--theta", "2",
+                 "--out", str(tmp_path / "C")]) == 0
+    assert main(["sample", *grid, "--paths", "1", "--steps", "15000",
+                 "--out", str(tmp_path / "S")]) == 0
+    assert main(["germ-transform", "--in", str(tmp_path / "S" / "path_00000.csv"),
+                 "--theta", "2", "--u", "0.9", "--out", str(tmp_path / "T.csv")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in MULTI_BLOCK_SHA256}
+    assert got == MULTI_BLOCK_SHA256

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -224,8 +225,8 @@ def test_write_csv_alternating_grids_match_reference(n_steps, h1, h2, data):
         assert _written(Path(grid, np.array(values))) == csv_text(grid, values)
 
 
-def test_template_cache_formats_each_grid_once():
-    # Files on several grids written in turn reuse each grid's template
+def test_time_cell_cache_formats_each_grid_once():
+    # Files on several grids written in turn reuse each grid's time cells
     # while the cache holds them all.  Past its size the least recently used
     # go, so ten grids in turn miss on every write, and every file still
     # carries its own grid's times.
@@ -233,10 +234,26 @@ def test_template_cache_formats_each_grid_once():
     many = [TimeGrid(1.0 + k, 40 + k % 3) for k in range(10)]
     for order, misses in ((few * 3 + few[::-1], len(few)), (many * 2, 2 * len(many))):
         values = {g: np.linspace(-1.0, 1.0, g.n_steps + 1) for g in order}
-        paths._csv_template.cache_clear()
+        paths._time_cells.cache_clear()
         texts = [_written(Path(g, values[g])) for g in order]
-        assert paths._csv_template.cache_info().misses == misses
+        assert paths._time_cells.cache_info().misses == misses
         assert texts == [csv_text(g, values[g].tolist()) for g in order]
+
+
+def test_write_csv_memory_stays_blocked():
+    # write_csv formats a block of values at a time, so one 10,000-step file
+    # holds its text and a few blocks' temporaries, not a row array of the
+    # whole file.
+    grid = TimeGrid(10.0, 10_000)
+    path = Path(grid, np.sin(np.arange(grid.n_steps + 1)) * 30.0)
+    _written(path)  # builds the tables and the grid's time cells
+    tracemalloc.start()
+    try:
+        _written(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("bad", [None, "x,1", "1,inf", "1,2,3"])
