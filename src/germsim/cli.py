@@ -28,7 +28,7 @@ from .paths import (
     sample_bm_rows,
     write_csv,
 )
-from .rng import _check_int, _check_u64, _chunks, stream_words, substream
+from .rng import _check_int, _check_u64, substream, word_rows
 from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
@@ -151,8 +151,7 @@ def _stems(cfg: RunConfig):
     """The run's driftless stems, path ``i`` drawn from stream ``(seed, i)``,
     in chunks: the path ids and their stems, one per row."""
     grid = cfg.grid()
-    for ids in _chunks(cfg.n_paths, grid.n_steps):
-        words = stream_words(cfg.seed, ids, grid.n_steps)
+    for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
         yield ids.tolist(), sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
 
 

@@ -126,21 +126,18 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
 
 
 def sample_coupled_pair(grid, theta: float, stream: RngStream):
-    """One pair of :func:`couple_rows`, drawn from ``stream``: the stem, the
-    branch germ_transform(stem, u, theta) and their fragmentation time.
+    """One pair of :func:`couple_rows`, drawn from ``stream``: the stem and
+    the branch germ_transform(stem, u, theta) as arrays on ``grid``, and
+    their fragmentation time as a float.
 
-    The stem and branch are arrays on ``grid``, and the fragmentation time
-    is the grid time of the reflection start, ``inf`` when nothing is
-    reflected.  Consumes ``n_steps`` words for the stem increments and
-    then one word for the uniform, in that order, so replay of a stream is
-    exact.
+    Consumes ``n_steps`` words for the stem increments and then one word
+    for the uniform, in that order, so replay of a stream is exact.
     """
     # A log ratio of inf - inf is nan, which reflects; _finite_branch
     # rejects a reflection that overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        stems, branches, start = couple_rows(grid, theta, stream.words(grid.n_steps + 1)[None])
-    frag_time = float(np.append(grid.times(), math.inf)[start[0]])
-    return stems[0], _finite_branch(grid, theta, branches[0]), frag_time
+        stems, branches, frag = couple_rows(grid, theta, stream.words(grid.n_steps + 1)[None])
+    return stems[0], _finite_branch(grid, theta, branches[0]), float(frag[0])
 
 
 def couple_rows(grid, theta: float, words: np.ndarray):
@@ -148,8 +145,8 @@ def couple_rows(grid, theta: float, words: np.ndarray):
 
     ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
     increments, then the uniform.  Returns the stems, the branches and the
-    first reflected index of each branch (``n_steps + 1`` when it was kept
-    or nothing was reflected).
+    fragmentation time of each pair: the grid time of its reflection start,
+    ``inf`` when it was kept or nothing was reflected.
     """
     validate_theta(theta)
     n = grid.n_steps
@@ -159,7 +156,7 @@ def couple_rows(grid, theta: float, words: np.ndarray):
     u = uniform01_from_words(words[:, n])
     log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
     start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
-    return stems, _mirror(times, stems, theta, start), start
+    return stems, _mirror(times, stems, theta, start), np.append(times, math.inf)[start]
 
 
 def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):

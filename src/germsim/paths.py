@@ -103,8 +103,11 @@ class DriftedLaw:
     start: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.drift) and math.isfinite(self.start)):
-            raise ValueError("drift and start must be finite")
+        for name, given in (("drift", self.drift), ("start", self.start)):
+            value = _real(given)
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {given!r}")
+            object.__setattr__(self, name, value)
 
 
 def line_value(theta: float, t):

@@ -16,8 +16,9 @@ offset variant ``(word >> 11 + 0.5) * 2**-53``, which never hits 0.  From
 ``2**-53`` per word.  The inverse CDF is ``scipy.special.ndtri``, fixed per
 release.
 
-:class:`RngStream` draws one stream's words in order, and
-:func:`stream_words` draws the words of many streams in one call.
+:class:`RngStream` draws one stream's words in order,
+:func:`stream_words` the words of many streams in one call, and
+:func:`word_rows` the words of a run's streams in chunks of rows.
 :func:`uniform01_from_words` / :func:`normal_from_words` are the only
 word-to-variate rules, so every variate, per stream or in rows, agrees bit
 for bit with any other route to the same words.
@@ -159,8 +160,11 @@ def stream_words(seed: int, ids, n: int) -> np.ndarray:
 CHUNK_WORDS = 1 << 15
 
 
-def _chunks(n_paths: int, n_words: int):
-    """Consecutive index arrays covering range(n_paths), CHUNK_WORDS words each."""
+def word_rows(seed: int, n_rows: int, n_words: int, namespace: int):
+    """The first ``n_words`` words of streams ``(seed, namespace | i)`` for
+    i in range(n_rows), in chunks of about ``CHUNK_WORDS`` words: the ids
+    ``i`` of a chunk, ascending, and its :func:`stream_words` rows."""
     rows = max(1, CHUNK_WORDS // n_words)
-    for start in range(0, n_paths, rows):
-        yield np.arange(start, min(start + rows, n_paths))
+    for start in range(0, n_rows, rows):
+        ids = np.arange(start, min(start + rows, n_rows))
+        yield ids, stream_words(seed, namespace | ids, n_words)

@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .coupling import validate_theta
 from .paths import _real
 
 
@@ -18,18 +19,29 @@ def std_normal_cdf(x):
     return ndtr(x)
 
 
+def _check_t(t) -> np.ndarray:
+    """``t`` as a float array; a nan time is rejected under ``t``."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.isnan(t_arr).any():
+        raise ValueError("t must not be nan")
+    return t_arr
+
+
 def fragmentation_cdf(theta: float, t):
     """CDF of the fragmentation time of the maximal coupling of drifts 0 and theta.
 
     P(tau <= t) = 2 * Phi(|theta| * sqrt(t) / 2) - 1, the law of
-    4 * theta^-2 * Z^2.  Vectorized in t.
+    4 * theta^-2 * Z^2.  Vectorized in t.  ``theta`` is any finite, nonzero
+    real: the law depends on its magnitude only.
     """
-    if theta == 0:
-        raise ValueError("theta must be nonzero: with equal drifts the paths never fragment")
-    t_arr = np.asarray(t, dtype=float)
+    value = _real(theta)
+    if value is None or not math.isfinite(value) or value == 0:
+        raise ValueError(f"theta must be a finite, nonzero real number, got {theta!r}: "
+                         "with equal drifts the paths never fragment")
+    t_arr = _check_t(t)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    out = 2.0 * ndtr(0.5 * abs(theta) * np.sqrt(t_arr)) - 1.0
+    out = 2.0 * ndtr(0.5 * abs(value) * np.sqrt(t_arr)) - 1.0
     return float(out) if np.isscalar(t) else out
 
 
@@ -40,7 +52,7 @@ def levy_cdf(a: float, t):
     """
     if not a > 0:
         raise ValueError(f"level a must be > 0, got {a}")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _check_t(t)
     with np.errstate(divide="ignore"):
         out = np.where(t_arr > 0, 2.0 * (1.0 - ndtr(a / np.sqrt(np.maximum(t_arr, 0)))), 0.0)
     return float(out) if np.isscalar(t) else out
@@ -50,10 +62,10 @@ def branch_probability(theta: float, horizon: float) -> float:
     """Probability the germ transform keeps its input unchanged.
 
     Equals P(agreement outlives the horizon) = 2 * (1 - Phi(theta * sqrt(T) / 2)),
-    the mean of min(endpoint likelihood ratio, 1).
+    the mean of min(endpoint likelihood ratio, 1).  ``theta`` is checked as
+    the germ transform checks it.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    theta = validate_theta(theta)
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     return float(2.0 * (1.0 - ndtr(0.5 * theta * math.sqrt(horizon))))
@@ -61,15 +73,9 @@ def branch_probability(theta: float, horizon: float) -> float:
 
 @dataclass(frozen=True)
 class Ecdf:
-    """Sorted sample with an optional right-censoring bound.
-
-    The censor bound records that values at or beyond it were not resolved
-    by the experiment; goodness-of-fit against a reference CDF then
-    renormalizes the reference on the observable region.
-    """
+    """Sorted, finite, nonempty sample."""
 
     samples: np.ndarray
-    censor_bound: float | None = None
 
     def __post_init__(self):
         arr = np.sort(np.asarray(self.samples, dtype=float))
@@ -90,28 +96,25 @@ def ks_statistic(
     cdf: Callable[[np.ndarray], np.ndarray],
     support: tuple[float, float] = (-math.inf, math.inf),
 ) -> float:
-    """Sup over sample points of |ECDF - cdf| restricted to the support.
+    """Sup over sample points of |ECDF - reference| for the law conditioned
+    on the support [lo, hi].
 
-    When the ECDF carries a censor bound, the reference is renormalized on
-    [support_lo, min(support_hi, censor_bound)] so the comparison is
-    against the conditional law on the observable region.  Without a
-    censor bound the reference is used as given.
+    Samples outside the support are dropped, and the reference is
+    (cdf(x) - cdf(lo)) / (cdf(hi) - cdf(lo)), an infinite end counting as
+    0 or 1 without a call to ``cdf``.  On the whole line that is ``cdf``
+    itself, bit for bit.
     """
     lo, hi = support
     x = ecdf.samples
-    keep = (x >= lo) & (x <= hi)
-    x = x[keep]
+    x = x[(x >= lo) & (x <= hi)]
     if x.size == 0:
         raise ValueError("no samples inside the support interval")
-    ref = np.asarray(cdf(x), dtype=float)
-    if ecdf.censor_bound is not None:
-        hi_eff = min(hi, ecdf.censor_bound)
-        f_lo = float(cdf(np.array([lo]))[0]) if math.isfinite(lo) else 0.0
-        f_hi = float(cdf(np.array([hi_eff]))[0]) if math.isfinite(hi_eff) else 1.0
-        norm = f_hi - f_lo
-        if norm <= 0:
-            raise ValueError("reference CDF has no mass on the observable region")
-        ref = (ref - f_lo) / norm
+    f_lo = float(cdf(np.array([lo]))[0]) if math.isfinite(lo) else 0.0
+    f_hi = float(cdf(np.array([hi]))[0]) if math.isfinite(hi) else 1.0
+    norm = f_hi - f_lo
+    if norm <= 0:
+        raise ValueError("reference CDF has no mass on the support interval")
+    ref = (np.asarray(cdf(x), dtype=float) - f_lo) / norm
     ranks = np.searchsorted(x, x, side="right") / x.size
     return float(np.max(np.abs(ranks - ref)))
 

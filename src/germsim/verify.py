@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import couple_rows, first_meeting, invert_time
 from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
-from .rng import _check_u64, _chunks, normal_from_words, stream_words, uniform01_from_words
+from .rng import _check_u64, normal_from_words, stream_words, uniform01_from_words, word_rows
 from .stats import (
     Ecdf,
     GofReport,
@@ -117,10 +117,8 @@ def _couple_batch(
     frag = np.empty(n_paths)
     germ_ok = np.empty(n_paths, dtype=bool)
     branch_end = np.empty(n_paths)
-    for ids in _chunks(n_paths, n_steps + 1):
-        words = stream_words(seed, namespace | ids, n_steps + 1)
-        stems, branches, start = couple_rows(grid, theta, words)
-        frag[ids] = times[start]
+    for ids, words in word_rows(seed, n_paths, n_steps + 1, namespace):
+        stems, branches, frag[ids] = couple_rows(grid, theta, words)
         # The germ recheck does not trust the reflection start: it scans
         # for the first bit-exact difference between stem and branch.
         first = _first_difference(stems, branches)
@@ -139,12 +137,10 @@ def _couple_batch(
 
 
 def _frag_law_ks(summary: _CoupleSummary) -> tuple[float, int]:
-    """KS of uncensored fragmentation times against the renormalized law."""
+    """KS of uncensored fragmentation times against the law given tau <= T."""
     uncensored = summary.frag[np.isfinite(summary.frag)]
-    ecdf = Ecdf(uncensored, censor_bound=summary.horizon)
-    stat = ks_statistic(
-        ecdf, lambda t: fragmentation_cdf(summary.theta, t), support=(0.0, math.inf)
-    )
+    stat = ks_statistic(Ecdf(uncensored), lambda t: fragmentation_cdf(summary.theta, t),
+                        support=(0.0, summary.horizon))
     return stat, int(uncensored.size)
 
 
@@ -221,8 +217,7 @@ def _criterion_5(cfg: VerifyConfig) -> list[GofReport]:
 
     non_monotone = 0
     diffs = []  # |direct - dual| wherever neither route is censored
-    for ids in _chunks(n_stems, n_steps):
-        words = stream_words(cfg.seed, _ns(5) | ids, n_steps)
+    for _, words in word_rows(cfg.seed, n_stems, n_steps, _ns(5)):
         stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
         direct, c_direct = fragmentation_process(times, stems, dgrid)
         dual, c_dual = fragmentation_process_dual(times, stems, dgrid)
@@ -247,18 +242,16 @@ def _criterion_6(cfg: VerifyConfig, summary: _CoupleSummary) -> list[GofReport]:
     draws = sample_passage_time(1.0, z)
     stat = ks_statistic(Ecdf(draws), lambda t: levy_cdf(1.0, t), support=(0.0, math.inf))
 
-    # Reciprocal fragmentation times against the passage law.  Samples at
-    # the resolution floor (the grid reports every sub-cell fragmentation
-    # at exactly one cell) are censored at 1/dt and the reference is
-    # renormalized on the resolved region.
+    # Reciprocal fragmentation times against the passage law on the
+    # resolved window [1/T, 1/dt].  Samples at the resolution floor (the
+    # grid reports every sub-cell fragmentation at exactly one cell) are
+    # dropped, and the law is conditioned on the window.
     level = summary.theta / 2.0
     uncensored = summary.frag[np.isfinite(summary.frag)]
     resolved = uncensored[uncensored > summary.dt]
     recip = 1.0 / resolved
-    ecdf = Ecdf(recip, censor_bound=1.0 / summary.dt)
-    cross_stat = ks_statistic(
-        ecdf, lambda s: levy_cdf(level, s), support=(1.0 / summary.horizon, math.inf)
-    )
+    cross_stat = ks_statistic(Ecdf(recip), lambda s: levy_cdf(level, s),
+                              support=(1.0 / summary.horizon, 1.0 / summary.dt))
     return [
         _report(cfg, "c06_passage_sampler_ks", n_draws, stat, PASSAGE_KS_TOL, level=1.0),
         _report(cfg, "c06_frag_passage_duality_ks", int(recip.size), cross_stat,
@@ -274,8 +267,7 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
     t_min = 0.1
 
     worst = 0.0
-    for ids in _chunks(n_paths, grid.n_steps):
-        words = stream_words(cfg.seed, _ns(7) | ids, grid.n_steps)
+    for _, words in word_rows(cfg.seed, n_paths, grid.n_steps, _ns(7)):
         paths = sample_bm_rows(grid, DriftedLaw(0.5, -0.25), words)
         s, once = invert_time(times, paths, t_min)
         _, twice = invert_time(s, once, s[0])
@@ -322,8 +314,7 @@ def _criterion_7(cfg: VerifyConfig) -> list[GofReport]:
         return abs(met - expect) <= cell
 
     bad = 0
-    for ids in _chunks(n_pairs, 12):
-        words = stream_words(cfg.seed, _ns(17) | ids, 12)
+    for _, words in word_rows(cfg.seed, n_pairs, 12, _ns(17)):
         u, z = uniform01_from_words(words[:, :4]), normal_from_words(words[:, 4:])
         bad += sum(not pair_meets(*row) for row in zip(u, z))
     return [inv_rep, _report(cfg, "c07_meeting_duality", n_pairs, bad / n_pairs, 0.0,
@@ -347,8 +338,7 @@ def _criterion_8(cfg: VerifyConfig) -> list[GofReport]:
 
     law = DriftedLaw(theta, delta)
     at = np.empty((len(probes), n_paths))
-    for ids in _chunks(n_paths, grid.n_steps):
-        words = stream_words(cfg.seed, _ns(8) | ids, grid.n_steps)
+    for ids, words in word_rows(cfg.seed, n_paths, grid.n_steps, _ns(8)):
         _, inv = invert_time(grid.times(), sample_bm_rows(grid, law, words), t_min)
         at[:, ids] = inv[:, probes].T
     thr = ks_threshold(n_paths, cfg.alpha)

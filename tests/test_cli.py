@@ -439,6 +439,29 @@ def test_frag_process_censors_like_bouquet_at_the_horizon(tmp_path, fmt):
         assert rows[1:] == ["0.5,4.0,false", "2.0,1.0,false"]
 
 
+def test_bouquet_reads_frag_process_or_keeps(tmp_path):
+    # frag-process reports the reflection start, which ignores the uniform.
+    # A bouquet entry is that time, or inf where its pair is kept (u at
+    # most a likelihood ratio below 1) and the branch is the stem itself.
+    args = ["--seed", "0", "--paths", "200", "--steps", "64", "--horizon", "4",
+            "--thetas", "0,0.5,2"]
+    assert main(["bouquet", *args, "--out", str(tmp_path / "B")]) == 0
+    assert main(["frag-process", *args, "--out", str(tmp_path / "F")]) == 0
+    kept_only = 0
+    for i in range(200):
+        name = f"frag_process_{i:05d}.csv"
+        b_rows = (tmp_path / "B" / name).read_text().splitlines()
+        f_rows = (tmp_path / "F" / name).read_text().splitlines()
+        assert b_rows[0] == f_rows[0] and len(b_rows) == len(f_rows) == 4
+        stem = _read(tmp_path / "B" / f"stem_{i:05d}.csv")
+        for j, (b, f) in enumerate(zip(b_rows[1:], f_rows[1:])):
+            if b != f:
+                assert b.split(",")[1:] == ["inf", "true"]
+                assert _read(tmp_path / "B" / f"branch_{i:05d}_theta{j}.csv") == stem
+                kept_only += 1
+    assert kept_only > 0
+
+
 def test_frag_process_at_the_largest_horizon(tmp_path, capsys):
     # At theta = 1e300 the line theta * t / 2 is beyond a double after
     # t = 0, so every stem is below it from the first cell on.  Tests turn

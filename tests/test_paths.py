@@ -61,6 +61,20 @@ def test_grid_rejects_non_integer_n_steps(n_steps):
         TimeGrid(1.0, n_steps)
 
 
+@pytest.mark.parametrize("field", ["drift", "start"])
+@pytest.mark.parametrize("value", [None, "a", 10**400, math.nan, math.inf],
+                         ids=["None", "str", "10**400", "nan", "inf"])
+def test_drifted_law_names_the_field_it_rejects(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+        DriftedLaw(**{field: value})
+
+
+def test_drifted_law_stores_python_floats():
+    law = DriftedLaw(np.float64(0.5), np.array(-1.0))
+    assert (type(law.drift), type(law.start)) == (float, float)
+    assert law == DriftedLaw(0.5, -1.0)
+
+
 def test_path_validation():
     g = TimeGrid(1.0, 2)
     with pytest.raises(ValueError):

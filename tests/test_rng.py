@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,3 +116,23 @@ def test_batched_words_match_c_philox(seed, ids, n):
     # The numpy Philox itself, also past the crossover where stream_words
     # switches to one C generator per key.
     assert np.array_equal(rng._philox_rows(seed, np.array(ids, dtype=np.uint64), n), expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=u64,
+    namespace=st.sampled_from([0, 5 << 32, 17 << 32]),
+    n_rows=st.integers(1, 12),
+    n_words=st.integers(1, 9),
+    chunk_words=st.integers(1, 40),
+)
+def test_word_rows_chunks_cover_the_rows_in_order(seed, namespace, n_rows, n_words,
+                                                  chunk_words):
+    with mock.patch.object(rng, "CHUNK_WORDS", chunk_words):
+        chunks = list(rng.word_rows(seed, n_rows, n_words, namespace))
+    rows_per_chunk = max(1, chunk_words // n_words)
+    assert [ids.size for ids, _ in chunks[:-1]] == [rows_per_chunk] * (len(chunks) - 1)
+    assert 1 <= chunks[-1][0].size <= rows_per_chunk
+    assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(n_rows))
+    for ids, words in chunks:
+        assert np.array_equal(words, stream_words(seed, namespace | ids, n_words))

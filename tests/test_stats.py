@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germsim.rng import stream_words, uniform01_from_words
@@ -67,6 +67,24 @@ def test_frag_cdf_values():
     assert abs(fragmentation_cdf(2.0, 1.0) - 0.6826894921370859) <= 1e-9
     assert fragmentation_cdf(3.0, 0.0) == 0.0
     assert fragmentation_cdf(1.0, 1e8) > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: branch_probability(math.nan, 1.0), "theta"),
+    (lambda: branch_probability("2", 1.0), "theta"),
+    (lambda: branch_probability(-1.0, 1.0), "theta"),
+    (lambda: fragmentation_cdf(math.nan, 1.0), "theta"),
+    (lambda: fragmentation_cdf(math.inf, 1.0), "theta"),
+    (lambda: fragmentation_cdf("2", 1.0), "theta"),
+    (lambda: fragmentation_cdf(1.0, math.nan), "t"),
+    (lambda: fragmentation_cdf(1.0, np.array([1.0, math.nan])), "t"),
+    (lambda: levy_cdf(1.0, math.nan), "t"),
+    (lambda: levy_cdf(1.0, np.array([math.nan])), "t"),
+], ids=["bp-nan", "bp-str", "bp-negative", "frag-nan-theta", "frag-inf-theta",
+        "frag-str-theta", "frag-nan-t", "frag-nan-t-array", "levy-nan-t", "levy-nan-t-array"])
+def test_laws_reject_bad_inputs_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
 
 
 def test_frag_cdf_rejects_zero_theta():
@@ -142,10 +160,41 @@ def test_ks_empty_sample_rejected():
 
 
 def test_ks_censoring_renormalizes():
-    # Uniform reference censored at 0.5: F is rescaled by 1/0.5 on [0, 0.5].
-    ecdf = Ecdf(np.array([0.1, 0.3]), censor_bound=0.5)
-    stat = ks_statistic(ecdf, lambda x: np.clip(x, 0.0, 1.0), support=(0.0, math.inf))
+    # Uniform reference conditioned on [0, 0.5]: F is rescaled by 1/0.5.
+    ecdf = Ecdf(np.array([0.1, 0.3]))
+    stat = ks_statistic(ecdf, lambda x: np.clip(x, 0.0, 1.0), support=(0.0, 0.5))
     assert math.isclose(stat, 0.4, abs_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    samples=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=30),
+    lo=st.one_of(st.just(-math.inf), st.floats(-3.0, 0.0)),
+    hi=st.one_of(st.just(math.inf), st.floats(0.0, 3.0)),
+)
+def test_ks_on_a_support_is_ks_against_the_conditioned_law(samples, lo, hi):
+    # Equal, bit for bit, to the in-support samples against the law
+    # conditioned by hand and compared on the whole line.
+    x = np.array(samples)
+    inside = x[(x >= lo) & (x <= hi)]
+    assume(inside.size > 0)
+    f_lo = float(std_normal_cdf(lo)) if math.isfinite(lo) else 0.0
+    f_hi = float(std_normal_cdf(hi)) if math.isfinite(hi) else 1.0
+    assume(f_hi > f_lo)
+    want = ks_statistic(Ecdf(inside), lambda t: (std_normal_cdf(t) - f_lo) / (f_hi - f_lo))
+    assert ks_statistic(Ecdf(x), std_normal_cdf, support=(lo, hi)) == want
+
+
+def test_ks_whole_line_uses_the_cdf_as_given():
+    # The infinite ends cost no call to the reference.
+    calls = []
+
+    def cdf(x):
+        calls.append(x.size)
+        return np.clip(x, 0.0, 1.0)
+
+    assert ks_statistic(Ecdf(np.array([0.1, 0.3])), cdf) == 1.0 - 0.3
+    assert calls == [2]
 
 
 def test_ks_tied_samples_use_right_continuous_ecdf():
