@@ -16,7 +16,7 @@ rounding interval in units of 10**k / 4.  At most one multiple of
 10**(k + 1) lies in the interval; if one does, it is the shortest decimal.
 Otherwise the shortest are the multiples of 10**k in it, and the one closest
 to v wins.  The products are exact ``np.uint64`` arithmetic
-(:func:`germsim.rng._mulhilo`), the same integers as Java's reference code.
+(:func:`_mulhilo`), the same integers as Java's reference code.
 Every constant is an ``np.uint64``, so that numpy 1.x's value-based casting
 never turns a step into float64.
 
@@ -46,8 +46,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _mulhilo
-
 BLOCK = 4096
 
 # Decimal exponents of the table of g: k with 10**k <= 2**q for every
@@ -71,6 +69,8 @@ _WORD_BITS = np.uint64(64)
 _POW2_BIT = np.uint64(11)
 # A stand-in for the rows repr writes, so that every table index stays in range.
 _ONE_BITS = np.array(1.0).view(np.uint64)[()]
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 # Giulietti's integer forms of three logarithms, for ints or int64 arrays;
@@ -154,6 +154,16 @@ def _tables() -> _Tables:
         keep=keep.reshape(len(shapes), 32).view(np.uint64),
         tail=np.frombuffer(b"".join(w.ljust(8, b"\0") for w in tail), dtype=np.uint64),
     )
+
+
+def _mulhilo(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products ``a * m``."""
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
+    cross = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
+    carry = a_lo * m_hi + (cross & _LO32)
+    hi = a_hi * m_hi + (cross >> _SHIFT32) + (carry >> _SHIFT32)
+    return hi, a * m
 
 
 def _round_odd(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ for the meeting duality, interpolates inside a grid cell.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -140,6 +141,15 @@ def sample_coupled_pair(grid, theta: float, stream: RngStream):
     return stems[0], _finite_branch(grid, theta, branches[0]), float(frag[0])
 
 
+@functools.lru_cache(maxsize=8)
+def _index_times(grid) -> np.ndarray:
+    """The read-only time of each index of ``grid``, and ``inf`` at
+    ``n_steps + 1``, the reflection start that mirrors nothing."""
+    times = np.append(grid.times(), math.inf)
+    times.flags.writeable = False
+    return times
+
+
 def couple_rows(grid, theta: float, words: np.ndarray):
     """Coupled pairs, one per row: a driftless stem and its germ transform.
 
@@ -151,12 +161,12 @@ def couple_rows(grid, theta: float, words: np.ndarray):
     validate_theta(theta)
     n = grid.n_steps
     stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
-    times = grid.times()
-    start = _reflection_start(times, stems, theta)
+    times = _index_times(grid)
+    start = _reflection_start(times[:-1], stems, theta)
     u = uniform01_from_words(words[:, n])
     log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
     start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
-    return stems, _mirror(times, stems, theta, start), np.append(times, math.inf)[start]
+    return stems, _mirror(times[:-1], stems, theta, start), times[start]
 
 
 def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):

@@ -12,13 +12,14 @@ of draw kinds: every variate, uniform or normal, consumes exactly one
 ``[0, 1)``.  Normals are produced by the inverse normal CDF applied to the
 offset variant ``(word >> 11 + 0.5) * 2**-53``, which never hits 0.  From
 ``word >> 11 = 2**52`` on, the half-step offset rounds to even, so the top
-``2**11`` words give exactly 1 and an infinite variate, with probability
-``2**-53`` per word.  The inverse CDF is ``scipy.special.ndtri``, fixed per
-release.
+``2**11`` words round to exactly 1; u is clamped to ``1 - 2**-53``, the
+largest double below 1, so every normal is finite.  The inverse CDF is
+``scipy.special.ndtri``, fixed per release.
 
 :class:`RngStream` draws one stream's words in order,
 :func:`stream_words` the words of many streams in one call, and
-:func:`word_rows` the words of a run's streams in chunks of rows.
+:func:`word_rows` the words of a run's streams in chunks of rows.  All
+three draw from numpy's C Philox, keyed by one helper that sets its state.
 :func:`uniform01_from_words` / :func:`normal_from_words` are the only
 word-to-variate rules, so every variate, per stream or in rows, agrees bit
 for bit with any other route to the same words.
@@ -33,20 +34,12 @@ from scipy.special import ndtri
 
 _TOP53 = np.uint64(11)
 _INV53 = 2.0**-53
+_U_MAX = 1.0 - 2.0**-53
 _U64_MAX = 2**64
 
-# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
-# as 1, 2, 3", SC11): round multipliers and Weyl key increments.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-# Words per key above which constructing one C Philox per key beats the
-# numpy Philox evaluated over the array of keys.  Measured on 2 CPUs with
-# chunks of 2**15 words: per key, numpy took 1.5-1.7 / 7-8 / 23-28 / 37-40 us
-# at 17 / 101 / 301 / 501 words, and C took 22-35 us at each of them.
-KEYED_MAX_WORDS = 384
+# Seeds each new generator before its key is set: a fixed sequence spares
+# numpy drawing OS entropy and building a pool for every generator.
+_UNKEYED = np.random.SeedSequence(0)
 
 
 def _check_int(name: str, value) -> int:
@@ -71,11 +64,23 @@ def uniform01_from_words(words: np.ndarray) -> np.ndarray:
 
 
 def normal_from_words(words: np.ndarray) -> np.ndarray:
-    """N(0, 1) variates: ``ndtri`` of the half-step offset 53-bit uniforms."""
+    """N(0, 1) variates: ``ndtri`` of the half-step offset 53-bit uniforms, clamped below 1."""
     u = (words >> _TOP53).astype(np.float64)
     u += 0.5
     u *= _INV53
+    # The top 2**11 words round to u = 1, whose ndtri is inf.
+    np.minimum(u, _U_MAX, out=u)
     return ndtri(u, out=u)
+
+
+def _keyed(bits: np.random.Philox, seed: int, stream_id: int) -> np.random.Philox:
+    """``bits`` at the first word of stream ``(seed, stream_id)``: the key
+    (stream_id, seed), the 64-bit words of ``(seed << 64) | stream_id``, at
+    counter 0 with an empty buffer, the state ``np.random.Philox(key=...)`` starts in."""
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": (0, 0, 0, 0), "key": (stream_id, seed)},
+                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bits
 
 
 class RngStream:
@@ -88,7 +93,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = _check_u64("seed", seed)
         self.stream_id = _check_u64("stream_id", stream_id)
-        self._bits = np.random.Philox(key=(self.seed << 64) | self.stream_id)
+        self._bits = _keyed(np.random.Philox(_UNKEYED), self.seed, self.stream_id)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -104,51 +109,19 @@ def substream(seed: int, task_id: int) -> RngStream:
     return RngStream(seed, task_id)
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products ``a * m``."""
-    a_lo, a_hi = a & _LO32, a >> _SHIFT32
-    m_lo, m_hi = m & _LO32, m >> _SHIFT32
-    cross = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
-    carry = a_lo * m_hi + (cross & _LO32)
-    hi = a_hi * m_hi + (cross >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, a * m
-
-
-def _philox_rows(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
-    """Philox4x64-10 in numpy, evaluated over the array of keys at once.
-
-    Key ``(seed << 64) | id`` is the pair (id, seed) of 64-bit words, and
-    word k of a stream is lane ``k % 4`` of the block at counter
-    ``k // 4 + 1``, as in ``np.random.Philox``.
-    """
-    blocks = -(-n // 4)
-    k0, k1 = ids[:, None], np.full((1, 1), seed, dtype=np.uint64)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (ids.size, blocks))
-    x1 = x2 = x3 = np.zeros((ids.size, blocks), dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(ids.size, 4 * blocks)[:, :n]
-
-
 def stream_words(seed: int, ids, n: int) -> np.ndarray:
     """The first ``n`` words of each stream ``(seed, id)``, one row per id.
 
     Row r equals ``RngStream(seed, ids[r]).words(n)``, so a row and the
-    stream give the same variates.  Short rows come from the numpy
-    Philox over all keys at once; rows longer than ``KEYED_MAX_WORDS``
-    from one C Philox per key.
+    stream give the same variates.  One C Philox, local to the call, is
+    re-keyed for each id.
     """
     seed = _check_u64("seed", seed)
     ids = np.asarray(ids, dtype=np.uint64)
-    if n <= KEYED_MAX_WORDS:
-        return _philox_rows(seed, ids, n)
+    bits = np.random.Philox(_UNKEYED)
     out = np.empty((ids.size, n), dtype=np.uint64)
     for r, stream_id in enumerate(ids.tolist()):
-        out[r] = np.random.Philox(key=(seed << 64) | stream_id).random_raw(n)
+        out[r] = _keyed(bits, seed, stream_id).random_raw(n)
     return out
 
 
@@ -166,5 +139,5 @@ def word_rows(seed: int, n_rows: int, n_words: int, namespace: int):
     ``i`` of a chunk, ascending, and its :func:`stream_words` rows."""
     rows = max(1, CHUNK_WORDS // n_words)
     for start in range(0, n_rows, rows):
-        ids = np.arange(start, min(start + rows, n_rows))
+        ids = np.arange(start, min(start + rows, n_rows), dtype=np.uint64)
         yield ids, stream_words(seed, namespace | ids, n_words)

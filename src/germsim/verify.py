@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import couple_rows, first_meeting, invert_time
+from .coupling import _index_times, couple_rows, first_meeting, invert_time
 from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
 from .rng import _check_u64, normal_from_words, stream_words, uniform01_from_words, word_rows
 from .stats import (
@@ -112,8 +112,7 @@ def _couple_batch(
     n_paths: int,
 ) -> _CoupleSummary:
     grid = TimeGrid(horizon, n_steps)
-    # Time of each index, inf at n_steps + 1: "no such index".
-    times = np.append(grid.times(), math.inf)
+    times = _index_times(grid)
     frag = np.empty(n_paths)
     germ_ok = np.empty(n_paths, dtype=bool)
     branch_end = np.empty(n_paths)

@@ -29,13 +29,14 @@ PHILOX_WORDS = {
 }
 
 # repr of the normal variate of each word.  Above 2**63 the half-step
-# offset rounds to even, so word 2**63 gives u = 0.5 exactly and word
-# 2**64 - 1 gives u = 1 and an infinite variate.
+# offset rounds to even, so word 2**63 gives u = 0.5 exactly, and the top
+# 2**11 words would give u = 1; they are clamped to u = 1 - 2**-53.
 NORMALS = {
     0: "-8.292361075813597",
     2**63 - 1: "-1.3914582123358836e-16",
     2**63: "0.0",
-    _U64_MAX: "inf",
+    2**64 - 2**11: "8.209536151601387",
+    _U64_MAX: "8.209536151601387",
 }
 
 # sha256 of write_csv's text for CSV_VALUES on TimeGrid(1.0, 8).
@@ -44,7 +45,8 @@ CSV_SHA256 = "0f73065a0f52d14ceb0a2467da0eed1d0f715add279398b373672844d75a6524"
 
 
 def test_layer_philox_stream_words():
-    # Both routes: the numpy Philox over an array of keys and numpy's C Philox.
+    # Both routes: stream_words re-keys one generator per row, RngStream
+    # keys one of its own.
     for (seed, stream_id), want in PHILOX_WORDS.items():
         batched = stream_words(seed, [stream_id], 8)[0]
         keyed = RngStream(seed, stream_id).words(8)
