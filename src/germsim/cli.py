@@ -210,7 +210,7 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
     out = _out_dir(cfg)
     times = cfg.grid().times()
     for ids, stems in _stems(cfg):
-        frags, _ = fragmentation_process(times, stems, dgrid)
+        frags = fragmentation_process(times, stems, dgrid)
         for i, row in zip(ids, frags.tolist()):
             _write_frag_process(out, cfg.fmt, i, dgrid.thetas, row)
     _write_json(out / "manifest.json", cfg.manifest("frag-process"))
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
             _RUN_COMMANDS[args.command](_config(RunConfig, args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array too large to allocate, such as a huge --steps
+        print(f"error: out of memory, try a smaller --steps or --scale: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -7,7 +7,9 @@ import math
 import numbers
 import os
 import pathlib
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, repeat
 
 import numpy as np
@@ -38,9 +40,11 @@ def _real(value) -> float | None:
 class TimeGrid:
     """Uniform grid t_i = i * horizon / n_steps covering [0, horizon].
 
-    The horizon is stored as a Python float and ``n_steps`` as an int, so a
-    grid built from numpy scalars equals, and hashes like, one built from
-    the matching Python numbers.
+    The step dt = horizon / n_steps must be at least
+    ``sys.float_info.min``, the smallest normal double: a subnormal step
+    repeats grid times.  The horizon is stored as a Python float and
+    ``n_steps`` as an int, so a grid built from numpy scalars equals, and
+    hashes like, one built from the matching Python numbers.
     """
 
     horizon: float
@@ -55,6 +59,10 @@ class TimeGrid:
         n_steps = _check_int("n_steps", self.n_steps)
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        # Exact, so a count beyond the range of a double is no OverflowError.
+        if Fraction(horizon) / n_steps < sys.float_info.min:
+            raise ValueError(f"horizon / n_steps must be >= {sys.float_info.min!r}, "
+                             f"got {horizon!r} / {n_steps}")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "n_steps", n_steps)
 
@@ -197,7 +205,10 @@ def _time_grid(column: str) -> TimeGrid:
     if ts[-1] <= 0.0:
         raise _GridError(ts.size - 1, "last time (the horizon) must be > 0, "
                                       f"got {float(ts[-1])!r}")
-    grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
+    try:
+        grid = TimeGrid(horizon=float(ts[-1]), n_steps=ts.size - 1)
+    except ValueError as exc:  # a step below the smallest normal double
+        raise _GridError(ts.size - 1, str(exc)) from None
     tol = 1e-9 * max(1.0, grid.horizon)
     off = np.flatnonzero(np.abs(ts - grid.times()) > tol)
     if off.size:

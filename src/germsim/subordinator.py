@@ -6,7 +6,7 @@ grid time one past the stem's last grid visit to the line theta * t / 2.
 Under time inversion that visit is the first inverted grid point at or
 above the level theta / 2, so the dual reads the same grid time back as
 the reciprocal of an inverted grid point.  Both routes return one time
-and one censoring flag per drift, as a float array and a bool array.
+per drift, ``inf`` where the pair agrees to the horizon.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ class DriftGrid:
         object.__setattr__(self, "thetas", thetas)
 
 
-def fragmentation_process(times, stems, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Fragmentation time of the stem's reflected pair at each drift, and
-    whether it is censored, as a float array and a bool array with one
-    entry per drift along their last axis.
+def fragmentation_process(times, stems, grid: DriftGrid) -> np.ndarray:
+    """Fragmentation time of the stem's reflected pair at each drift, one
+    entry per drift along the last axis.
 
     ``stems`` holds one driftless path started at 0, sampled on ``times``,
     along its last axis, or many in rows.  Each entry is the grid time
@@ -51,25 +50,22 @@ def fragmentation_process(times, stems, grid: DriftGrid) -> tuple[np.ndarray, np
     this stem, and the times are non-increasing across the drifts.  It is
     ``inf`` when nothing is reflected: at theta = 0 and whenever the stem
     ends at or above the line, where the endpoint likelihood ratio is
-    >= 1 and the keep branch always fires.  An entry is censored when it
-    is ``inf`` or the horizon itself, where only the last grid point tells
-    the pair from one that agrees to the horizon.
+    >= 1 and the keep branch always fires.
     """
     times, stems = np.asarray(times), np.asarray(stems)
     if stems.shape[-1:] != times.shape:
         raise ValueError("stems must hold one value per time along the last axis")
     if (stems[..., 0] != 0.0).any():
         raise ValueError("stem must start at 0")
-    n = times.size - 1
     thetas = np.array(grid.thetas)
     # A line beyond the range of a double compares as inf, which is right.
     with np.errstate(over="ignore"):
         start = _reflection_start(times, stems[..., None, :], thetas[:, None])
-    start[..., thetas == 0.0] = n + 1
-    return np.append(times, math.inf)[start], start >= n
+    start[..., thetas == 0.0] = times.size
+    return np.append(times, math.inf)[start]
 
 
-def fragmentation_process_dual(times, stems, grid: DriftGrid) -> tuple[np.ndarray, np.ndarray]:
+def fragmentation_process_dual(times, stems, grid: DriftGrid) -> np.ndarray:
     """:func:`fragmentation_process` read off the inverted path.
 
     Inverts the stems on [dt, horizon], one grid cell onwards with
@@ -79,8 +75,8 @@ def fragmentation_process_dual(times, stems, grid: DriftGrid) -> tuple[np.ndarra
     reciprocal of the inverted point just before it: ``inf`` when the
     first point qualifies, and ``dt`` when no point does (only t = 0 is on
     or above the line).  theta = 0 is ``inf`` as in the direct route.
-    Censoring marks the same grid indices, so the two routes differ only
-    by the rounding of 1 / (1 / t).
+    Both routes pick the same grid index, so they differ only by the
+    rounding of 1 / (1 / t).
     """
     times = np.asarray(times)
     dt = times[1]
@@ -90,7 +86,7 @@ def fragmentation_process_dual(times, stems, grid: DriftGrid) -> tuple[np.ndarra
     first = np.where(at_or_above.any(axis=-1), at_or_above.argmax(axis=-1), s.size)
     first[..., thetas == 0.0] = 0
     recip = np.concatenate(([math.inf], 1.0 / s[:-1], [dt]))
-    return recip[first], first <= 1
+    return recip[first]
 
 
 def sample_passage_time(level: float, z):

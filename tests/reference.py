@@ -118,7 +118,10 @@ def read_csv_text(text):
         raise CsvFormatError(
             f"line {rows[-1][0]}: last time (the horizon) must be > 0, got {rows[-1][1]!r}"
         )
-    grid = TimeGrid(horizon=rows[-1][1], n_steps=len(rows) - 1)
+    try:
+        grid = TimeGrid(horizon=rows[-1][1], n_steps=len(rows) - 1)
+    except ValueError as exc:
+        raise CsvFormatError(f"line {rows[-1][0]}: {exc}") from None
     tol = 1e-9 * max(1.0, grid.horizon)
     for (lineno, t, _), want in zip(rows, grid.times().tolist()):
         if abs(t - want) > tol:

@@ -46,7 +46,7 @@ def test_chunked_core_matches_per_path(seed, theta, horizon, n_steps, rows_per_c
     ))
     assert got.frag.tobytes() == frag.tobytes()
     assert np.array_equal(got.germ_ok, germ_ok)
-    assert np.array_equal(got.kept, kept)
+    assert np.array_equal(np.isinf(got.frag), kept)
     assert got.branch_end.tobytes() == branch_end.tobytes()
 
 

@@ -1,11 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import pathlib
+import re
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from germsim import cli, verify
 from germsim.cli import RunConfig, cmd_couple, main
@@ -167,6 +175,25 @@ def test_sample_invalid_steps_exits_2(tmp_path, capsys):
     rc = main(["sample", "--steps", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "n_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sample"], ["couple", "--theta", "2"],
+                                     ["bouquet", "--thetas", "1,2"],
+                                     ["frag-process", "--thetas", "1,2"]])
+@pytest.mark.parametrize("grid,message", [
+    # A subnormal step repeats grid times.
+    (["--horizon", "5e-324", "--steps", "4"],
+     "error: horizon / n_steps must be >= 2.2250738585072014e-308, got 5e-324 / 4\n"),
+    # 10**15 steps fail at once, allocating the first 7.11 PiB array.
+    (["--horizon", "1e308", "--steps", "1000000000000000"],
+     "error: out of memory, try a smaller --steps or --scale: Unable to allocate 7.11 PiB"),
+])
+def test_unusable_grid_exits_2_without_manifest(tmp_path, capsys, command, grid, message):
+    out = tmp_path / "run"
+    assert main([*command, *grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -754,3 +781,73 @@ def test_multi_block_output_bytes_unchanged(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in MULTI_BLOCK_SHA256}
     assert got == MULTI_BLOCK_SHA256
+
+
+# Flag values no command should crash on, drawn beside each flag's usable
+# values.  Counts stay small; the one huge count, 10**15 steps, fails when
+# its first array is allocated.
+_HOSTILE = ["nan", "inf", "-inf", "-0.0", "1e308", "5e-324", "1,,2", ""]
+_GRID = {"--seed": ["0", "7"], "--paths": ["1", "2"], "--steps": ["1", "3", "1000000000000000"],
+         "--horizon": ["1", "10"], "--out": ["run", "afile"]}
+_TABLE = {**_GRID, "--format": ["csv", "json"]}
+_FLAGS = {
+    "sample": _GRID,
+    "couple": {**_TABLE, "--theta": ["0", "2"]},
+    "bouquet": {**_TABLE, "--thetas": ["0,1", "0.5,2"]},
+    "frag-process": {**_TABLE, "--thetas": ["0,1", "0.5,2"]},
+    "germ-transform": {"--in": ["in.csv", "afile", "missing.csv"], "--theta": ["0.5", "2"],
+                       "--u": ["0.01", "0.9"], "--out": ["out.csv", "afile", "."]},
+    "verify": {"--seed": ["0"], "--alpha": ["0.001"], "--scale": ["0.05"],
+               "--out": ["run", "afile"]},
+}
+_REQUIRED = {"couple": {"--theta"}, "bouquet": {"--thetas"}, "frag-process": {"--thetas"},
+             "germ-transform": {"--in", "--theta", "--u", "--out"}}
+# The field names an error may give a flag in place of its own.
+_FIELDS = {"--paths": "n_paths", "--steps": "n_steps", "--out": "out_dir"}
+
+
+@st.composite
+def _hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, usable in _FLAGS[command].items():
+        if flag in _REQUIRED.get(command, ()) or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(usable + _HOSTILE))]
+    return argv
+
+
+class _SuiteRan(Exception):
+    """verify got past its checks; the property never runs the suite."""
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_argv())
+def test_cli_contract_on_hostile_flags(argv):
+    # Every command exits 0 or 2 (or 1 for verify) and prints no traceback;
+    # an exit 2 names one of the command's flags and leaves no manifest in --out.
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "run_verification", side_effect=_SuiteRan):
+        os.chdir(tmp)
+        try:
+            pathlib.Path("afile").write_text("not a directory\n")
+            pathlib.Path("in.csv").write_text("t,value\n0.0,0.0\n0.5,-0.25\n1.0,0.5\n")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:  # argparse rejects the flags
+                    status = exc.code
+                except _SuiteRan:
+                    reject()
+            manifest = out is not None and pathlib.Path(out, "manifest.json").exists()
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    assert status in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (status, err)
+    assert "Traceback" not in err + stdout.getvalue()
+    if status == 2:
+        names = {n for flag in _FLAGS[argv[0]] for n in (flag[2:], _FIELDS.get(flag)) if n}
+        assert any(re.search(rf"\b{n}\b", err) for n in names), err
+        assert not manifest

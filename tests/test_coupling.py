@@ -363,14 +363,14 @@ def test_crossing_finders_match_brute_force_scan(row, sign, horizon, inverted):
 
 def _frag_rule(ts, vs, theta):
     """One drift's entry of the fragmentation process, written out: the
-    grid time where the backward sweep's reflection starts, inf and
-    censored at theta = 0 or when nothing is reflected, censored at the
-    horizon."""
+    grid time where the backward sweep's reflection starts, the horizon
+    when only the last point is reflected, inf at theta = 0 or when nothing
+    is."""
     times = ts.tolist()
     k = reflection_start(times, vs, theta)
     if theta == 0.0 or k == len(times):
-        return math.inf, True
-    return times[k], k == len(times) - 1
+        return math.inf
+    return times[k]
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,8 +392,8 @@ def test_fragmentation_process_matches_per_drift_rule(cells, horizon, thetas, on
     grid = TimeGrid(horizon, len(cells))
     ts = grid.times()
     vs = [0.0] + [line_value(line, t) if c is None else c for t, c in zip(ts[1:].tolist(), cells)]
-    times, censored = fragmentation_process(ts, np.array(vs), DriftGrid(tuple(thetas)))
-    assert list(zip(times.tolist(), censored.tolist())) == [_frag_rule(ts, vs, th) for th in thetas]
+    times = fragmentation_process(ts, np.array(vs), DriftGrid(tuple(thetas)))
+    assert times.tolist() == [_frag_rule(ts, vs, th) for th in thetas]
 
 
 @settings(max_examples=100, deadline=None)
@@ -411,7 +411,7 @@ def test_fragmentation_process_is_the_reflected_pairs_frag_time(seed, n_steps, h
     grid = TimeGrid(horizon, n_steps)
     ts = grid.times().tolist()
     pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
-    times, _ = fragmentation_process(grid.times(), pairs[0][0], DriftGrid(tuple(thetas)))
+    times = fragmentation_process(grid.times(), pairs[0][0], DriftGrid(tuple(thetas)))
     for (stem, branch, frag), entry in zip(pairs, times.tolist()):
         k = first_difference(stem.tolist(), branch.tolist())
         if k is not None:
@@ -419,7 +419,7 @@ def test_fragmentation_process_is_the_reflected_pairs_frag_time(seed, n_steps, h
 
 
 def _outcome(fn, times, stems, dgrid):
-    """The arrays ``fn`` returns, or the message of the error it raises."""
+    """The array ``fn`` returns, or the message of the error it raises."""
     try:
         return fn(times, stems, dgrid)
     except ValueError as exc:
@@ -456,9 +456,8 @@ def test_fragmentation_process_rows_match_per_row_calls(seed, n_rows, n_steps, h
         if isinstance(rows, str):
             assert per_row == [rows] * n_rows
             continue
-        for got, want in zip(rows, zip(*per_row)):
-            assert got.shape == (n_rows, len(thetas))
-            assert got.tobytes() == np.stack(want).tobytes()
+        assert rows.shape == (n_rows, len(thetas))
+        assert rows.tobytes() == np.stack(per_row).tobytes()
 
 
 def test_meeting_duality_single_pair():

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 from collections import OrderedDict
 
@@ -53,6 +54,20 @@ def test_grid_rejects_non_numeric_horizon(horizon):
 def test_grid_rejects_horizon_beyond_double_range(horizon):
     with pytest.raises(ValueError, match="^horizon must be finite"):
         TimeGrid(horizon, 2)
+
+
+@pytest.mark.parametrize("horizon,n_steps", [(5e-324, 4), (1.5e-323, 4), (1.0, 10**400)],
+                         ids=["zero step", "subnormal step", "10**400 steps"])
+def test_grid_rejects_a_step_below_the_smallest_normal(horizon, n_steps):
+    # A subnormal step repeats grid times: TimeGrid(1.5e-323, 4) would end
+    # 1.5e-323, 1.5e-323.
+    with pytest.raises(ValueError) as exc:
+        TimeGrid(horizon, n_steps)
+    assert str(exc.value) == ("horizon / n_steps must be >= 2.2250738585072014e-308, "
+                              f"got {horizon!r} / {n_steps}")
+    grid = TimeGrid(4 * sys.float_info.min, 4)
+    assert grid.dt == sys.float_info.min
+    assert (np.diff(grid.times()) > 0).all()
 
 
 @pytest.mark.parametrize("n_steps", [2.5, 4.0, "4", None])
@@ -191,6 +206,12 @@ def test_csv_grid_start_error_cites_physical_line():
 ])
 def test_csv_last_time_not_positive_cites_its_line(text, line):
     with pytest.raises(CsvFormatError, match=f"^line {line}: last time .* must be > 0"):
+        read_csv(io.StringIO(text))
+
+
+def test_csv_subnormal_step_cites_the_horizon_line():
+    text = "t,value\n0,0\n0,1\n\n5e-324,2\n"
+    with pytest.raises(CsvFormatError, match="^line 5: horizon / n_steps must be >= "):
         read_csv(io.StringIO(text))
 
 
@@ -334,6 +355,7 @@ _HOSTILE = {
     "negative horizon": "t,value\n0,0\n-1,1\n",
     "negative horizon after blank lines": "t,value\n0,0\n\n0.5,1\n\n-1,1\n\n",
     "signed zeros": "t,value\n-0.0,-0.0\n1,0.0\n",
+    "subnormal step": "t,value\n0.0,0.0\n0.0,1.0\n5e-324,2.0\n",
 }
 
 

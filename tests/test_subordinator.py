@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from germsim import verify
 from germsim.coupling import validate_theta
 from germsim.paths import DriftedLaw, TimeGrid, line_value, sample_bm_rows
 from germsim.rng import normal_from_words, stream_words
@@ -56,10 +57,8 @@ def _stems(grid, seed, n):
 
 def test_zero_drift_entry_is_horizon_censored():
     grid = TimeGrid(1.0, 100)
-    times, censored = fragmentation_process(grid.times(), _stems(grid, 31, 1)[0],
-                                            DriftGrid((0.0, 1.0)))
+    times = fragmentation_process(grid.times(), _stems(grid, 31, 1)[0], DriftGrid((0.0, 1.0)))
     assert times[0] == math.inf
-    assert censored[0]
 
 
 def test_stem_on_line_reports_horizon():
@@ -69,15 +68,14 @@ def test_stem_on_line_reports_horizon():
     grid = TimeGrid(2.0, 8)
     theta0 = 1.0
     stem = line_value(theta0, grid.times())
-    times, censored = fragmentation_process(grid.times(), stem, DriftGrid((theta0,)))
+    times = fragmentation_process(grid.times(), stem, DriftGrid((theta0,)))
     assert times[0] == math.inf
-    assert censored[0]
 
 
 def test_fragmentation_process_monotone_on_samples():
     grid = TimeGrid(10.0, 500)
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
-    times, _ = fragmentation_process(grid.times(), _stems(grid, 32, 200), dgrid)
+    times = fragmentation_process(grid.times(), _stems(grid, 32, 200), dgrid)
     # Compared, not differenced: inf - inf is nan.
     assert np.all(times[:, 1:] <= times[:, :-1])
 
@@ -86,11 +84,33 @@ def test_dual_agrees_within_one_cell():
     grid = TimeGrid(10.0, 500)
     dgrid = DriftGrid((0.5, 1.0, 2.0, 4.0, 8.0))
     stems = _stems(grid, 33, 100)
-    direct, c_direct = fragmentation_process(grid.times(), stems, dgrid)
-    dual, c_dual = fragmentation_process_dual(grid.times(), stems, dgrid)
-    assert np.array_equal(c_direct, c_dual)
+    direct = fragmentation_process(grid.times(), stems, dgrid)
+    dual = fragmentation_process_dual(grid.times(), stems, dgrid)
+    # Both routes agree to the horizon on the same entries, and fragment at
+    # it on the same entries: the dual reads T back as 1 / (1 / T).
+    assert np.array_equal(np.isinf(direct), np.isinf(dual))
+    assert np.array_equal(direct == grid.horizon, dual == 1.0 / (1.0 / grid.horizon))
     differ = direct != dual
     assert np.all(np.abs(direct[differ] - dual[differ]) < grid.dt / 2)
+
+
+def test_dual_agreement_gate_fails_on_a_dual_inf(monkeypatch):
+    # c05 compares the routes wherever the direct one fragments before T.
+    # A dual that reads inf at one such entry per chunk fails the gate
+    # instead of dropping out of it.
+    dual = verify.fragmentation_process_dual
+
+    def dual_missing_one(times, stems, dgrid):
+        out = dual(times, stems, dgrid)
+        resolved = fragmentation_process(times, stems, dgrid) < times[-1]
+        out.flat[np.flatnonzero(resolved)[:1]] = math.inf
+        return out
+
+    monkeypatch.setattr(verify, "fragmentation_process_dual", dual_missing_one)
+    reports = {r.test_name: r for r in verify._criterion_5(verify.VerifyConfig(scale=0.05))}
+    assert reports["c05_monotone"].passed
+    assert not reports["c05_dual_agreement"].passed
+    assert reports["c05_dual_agreement"].meta["worst_diff"] == math.inf
 
 
 def test_fragmentation_process_rejects_bad_stems():
@@ -106,21 +126,19 @@ def test_dual_line_stem_round_trip():
     grid = TimeGrid(2.0, 8)
     theta0 = 1.0
     stem = line_value(theta0, grid.times())
-    times, censored = fragmentation_process_dual(grid.times(), stem, DriftGrid((theta0,)))
+    times = fragmentation_process_dual(grid.times(), stem, DriftGrid((theta0,)))
     # Inverted path is the constant theta0/2, so the first inverted point
     # is on the level: the stem ends on its line and the pair is kept.
     assert times[0] == math.inf
-    assert censored[0]
 
 
 def test_dual_censors_unreachable_levels():
     grid = TimeGrid(2.0, 8)
     stem = line_value(1.0, grid.times())
-    times, censored = fragmentation_process_dual(grid.times(), stem, DriftGrid((50.0,)))
+    times = fragmentation_process_dual(grid.times(), stem, DriftGrid((50.0,)))
     # No inverted point reaches 25: the stem meets the line only at t = 0,
     # so the reflection starts one cell in, as `couple` reports it.
     assert times[0] == grid.dt
-    assert not censored[0]
 
 
 def test_passage_sampler_formula():
