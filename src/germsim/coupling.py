@@ -75,11 +75,7 @@ def _finite_branch(grid, theta: float, values: np.ndarray) -> np.ndarray:
 def validate_theta(theta: float, name: str = "theta") -> float:
     """``theta`` as a Python float; a drift the germ transform is not
     defined for is rejected under ``name``."""
-    value = _real(theta)
-    if value is None:
-        raise ValueError(f"{name} must be a real number, got {theta!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {theta}")
+    value = _real(name, theta)
     if value < 0:
         raise ValueError(
             f"{name} must be >= 0; for a negative drift use the negation "
@@ -89,11 +85,11 @@ def validate_theta(theta: float, name: str = "theta") -> float:
 
 
 def validate_u(u: float) -> float:
-    """``u`` unchanged if it lies in [0, 1], the range of the uniform that
-    picks the germ transform's branch; rejected otherwise."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    return u
+    """``u`` as a Python float in [0, 1], the range of the uniform picking the branch."""
+    value = _real("u", u)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"u must lie in [0, 1], got {value}")
+    return value
 
 
 def _log_likelihood_ratio(w_end, theta: float, horizon: float):
@@ -120,7 +116,7 @@ def germ_transform(w: Path, u: float, theta: float) -> Path:
     over the samples.
     """
     validate_theta(theta)
-    validate_u(u)
+    u = validate_u(u)
     if _keeps(u, _log_likelihood_ratio(float(w.values[-1]), theta, w.horizon)):
         return w
     return reflect_after_last_visit(w, theta)
@@ -179,6 +175,7 @@ def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):
     finite grid, so ``t_min`` must be strictly positive.
     """
     times, values = np.asarray(times), np.asarray(values)
+    t_min = _real("t_min", t_min)
     if not t_min > 0:
         raise ValueError(f"t_min must be > 0, got {t_min}")
     if not (times.ndim == 1 and np.isfinite(times).all() and (np.diff(times) > 0).all()):

@@ -17,23 +17,25 @@ import numpy as np
 from . import _repr
 from .rng import _check_int, normal_from_words
 
+# The most float64 elements a count may ask of one array: its bytes fit an
+# intp, with half to spare for np.linspace rounding its length to a double.
+_MAX_LENGTH = np.iinfo(np.intp).max // 16
+
 
 class CsvFormatError(ValueError):
     """Malformed path CSV; the message cites the offending 1-based line."""
 
 
-def _real(value) -> float | None:
-    """``value`` as a Python float if it is a real number, a 0-d array
-    counting as its scalar; ``None`` otherwise.  A real number beyond the
-    range of a double, such as ``10**400``, is ``±inf``, so each owner
-    rejects it as not finite."""
-    scalar = value[()] if isinstance(value, np.ndarray) else value
-    if not isinstance(scalar, numbers.Real):
-        return None
-    try:
-        return float(scalar)
-    except OverflowError:
-        return math.inf if scalar > 0 else -math.inf
+def _real(name: str, value) -> float:
+    """``value`` as a finite Python float, a 0-d array counting as its scalar;
+    rejected under ``name`` otherwise, as :func:`~germsim.rng._check_int` does."""
+    if isinstance(value, np.ndarray | np.generic) and value.ndim == 0:
+        value = value.item()
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, ±inf, or beyond a double like 10**400
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,16 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        horizon = _real(self.horizon)
-        if horizon is None:
-            raise ValueError(f"horizon must be a real number, got {self.horizon!r}")
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+        horizon = _real("horizon", self.horizon)
+        if not horizon > 0:
+            raise ValueError(f"horizon must be > 0, got {horizon}")
         n_steps = _check_int("n_steps", self.n_steps)
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         # Exact, so a count beyond the range of a double is no OverflowError.
-        if Fraction(horizon) / n_steps < sys.float_info.min:
+        if n_steps >= 1 and Fraction(horizon) / n_steps < sys.float_info.min:
             raise ValueError(f"horizon / n_steps must be >= {sys.float_info.min!r}, "
                              f"got {horizon!r} / {n_steps}")
+        if not 1 <= n_steps < _MAX_LENGTH:
+            raise ValueError(f"n_steps must be >= 1 and < {_MAX_LENGTH}, got {n_steps}")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "n_steps", n_steps)
 
@@ -111,11 +111,8 @@ class DriftedLaw:
     start: float = 0.0
 
     def __post_init__(self):
-        for name, given in (("drift", self.drift), ("start", self.start)):
-            value = _real(given)
-            if value is None or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {given!r}")
-            object.__setattr__(self, name, value)
+        for name in ("drift", "start"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 def line_value(theta: float, t):

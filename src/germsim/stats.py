@@ -11,7 +11,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .coupling import validate_theta
-from .paths import _real
+from .paths import _MAX_LENGTH, _real
+from .rng import _check_int
 
 
 def std_normal_cdf(x):
@@ -34,14 +35,13 @@ def fragmentation_cdf(theta: float, t):
     4 * theta^-2 * Z^2.  Vectorized in t.  ``theta`` is any finite, nonzero
     real: the law depends on its magnitude only.
     """
-    value = _real(theta)
-    if value is None or not math.isfinite(value) or value == 0:
-        raise ValueError(f"theta must be a finite, nonzero real number, got {theta!r}: "
-                         "with equal drifts the paths never fragment")
+    theta = _real("theta", theta)
+    if theta == 0:
+        raise ValueError("theta must be nonzero: with equal drifts the paths never fragment")
     t_arr = _check_t(t)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    out = 2.0 * ndtr(0.5 * abs(value) * np.sqrt(t_arr)) - 1.0
+    out = 2.0 * ndtr(0.5 * abs(theta) * np.sqrt(t_arr)) - 1.0
     return float(out) if np.isscalar(t) else out
 
 
@@ -50,6 +50,7 @@ def levy_cdf(a: float, t):
 
     P(T_a <= t) = 2 * (1 - Phi(a / sqrt(t))); 0 for t <= 0.  Vectorized in t.
     """
+    a = _real("a", a)
     if not a > 0:
         raise ValueError(f"level a must be > 0, got {a}")
     t_arr = _check_t(t)
@@ -66,6 +67,7 @@ def branch_probability(theta: float, horizon: float) -> float:
     the germ transform checks it.
     """
     theta = validate_theta(theta)
+    horizon = _real("horizon", horizon)
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     return float(2.0 * (1.0 - ndtr(0.5 * theta * math.sqrt(horizon))))
@@ -121,9 +123,9 @@ def ks_statistic(
 
 def _check_alpha(alpha) -> float:
     """``alpha`` as a Python float, a test level in (0, 1)."""
-    value = _real(alpha)
-    if value is None or not 0 < value < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    value = _real("alpha", alpha)
+    if not 0 < value < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {value!r}")
     return value
 
 
@@ -133,8 +135,9 @@ def ks_threshold(n: int, alpha: float) -> float:
     c(alpha) = sqrt(-ln(alpha / 2) / 2).  Intended for n >= 1000; exact
     small-sample tables are out of scope.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n)
+    if not 1 <= n <= _MAX_LENGTH:
+        raise ValueError(f"n must lie in [1, {_MAX_LENGTH}], got {n}")
     alpha = _check_alpha(alpha)
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import _reflection_start, invert_time, validate_theta
+from .paths import _real
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ def sample_passage_time(level: float, z):
     Uses the identity T_a = a^2 / Z^2 in distribution with Z standard
     normal, so the sampler is exact (no path discretization).
     """
+    level = _real("level", level)
     if not level > 0:
         raise ValueError(f"level must be > 0, got {level}")
     return level * level / (z * z)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import _index_times, couple_rows, first_meeting, invert_time
-from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
+from .paths import _MAX_LENGTH, DriftedLaw, TimeGrid, _real, sample_bm_rows
 from .rng import _check_u64, normal_from_words, stream_words, uniform01_from_words, word_rows
 from .stats import (
     Ecdf,
@@ -60,9 +60,9 @@ class VerifyConfig:
         object.__setattr__(self, "seed", _check_u64("seed", self.seed))
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         # 100_000 is the largest sample count the suite scales.
-        scale = _real(self.scale)
-        if scale is None or not (scale > 0 and math.isfinite(100_000 * scale)):
-            raise ValueError(f"scale must be > 0 with 100000 * scale finite, got {self.scale!r}")
+        scale = _real("scale", self.scale)
+        if not (scale > 0 and 100_000 * scale <= _MAX_LENGTH):
+            raise ValueError(f"scale must lie in (0, {_MAX_LENGTH} / 100000], got {scale}")
         object.__setattr__(self, "scale", scale)
 
 

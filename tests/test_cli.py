@@ -187,6 +187,9 @@ def test_sample_invalid_steps_exits_2(tmp_path, capsys):
     # 10**15 steps fail at once, allocating the first 7.11 PiB array.
     (["--horizon", "1e308", "--steps", "1000000000000000"],
      "error: out of memory, try a smaller --steps or --scale: Unable to allocate 7.11 PiB"),
+    # 10**20 grid times are more than numpy can shape into one array.
+    (["--steps", "100000000000000000000"],
+     "error: n_steps must be >= 1 and < 576460752303423487, got 100000000000000000000\n"),
 ])
 def test_unusable_grid_exits_2_without_manifest(tmp_path, capsys, command, grid, message):
     out = tmp_path / "run"
@@ -599,7 +602,7 @@ def test_germ_transform_bad_csv_names_its_flag_and_file(tmp_path, capsys):
     ("nan", "0.5", "theta must be finite"),
     ("-1", "0.5", "theta must be >= 0"),
     ("1", "1.5", "u must lie in [0, 1]"),
-    ("1", "nan", "u must lie in [0, 1]"),
+    ("1", "nan", "u must be finite"),
 ])
 def test_germ_transform_checks_theta_and_u_before_reading(tmp_path, capsys, monkeypatch,
                                                           theta, u, message):
@@ -633,6 +636,15 @@ def test_verify_bad_flag_exits_2_before_out_exists(tmp_path, capsys, monkeypatch
     assert f"{flag[2:]} must" in capsys.readouterr().err
     assert not out.exists()
     assert suites == []
+
+
+def test_verify_scale_too_large_for_an_array_exits_2_without_report(tmp_path, capsys):
+    # 100000 * 1e300 samples is finite but no array holds them; the suite
+    # itself runs here, so nothing but the config's check stops it.
+    out = tmp_path / "V"
+    assert main(["verify", "--scale", "1e300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: scale must ")
+    assert not (out / "verify_report.json").exists()
 
 
 def test_verify_smoke_schema_and_determinism(tmp_path):
@@ -784,10 +796,12 @@ def test_multi_block_output_bytes_unchanged(tmp_path):
 
 
 # Flag values no command should crash on, drawn beside each flag's usable
-# values.  Counts stay small; the one huge count, 10**15 steps, fails when
-# its first array is allocated.
+# values.  Counts stay small; of the two huge counts, 10**15 steps fails when
+# its first array is allocated, and 10**20 steps, too many for one array,
+# when the grid is built.
 _HOSTILE = ["nan", "inf", "-inf", "-0.0", "1e308", "5e-324", "1,,2", ""]
-_GRID = {"--seed": ["0", "7"], "--paths": ["1", "2"], "--steps": ["1", "3", "1000000000000000"],
+_GRID = {"--seed": ["0", "7"], "--paths": ["1", "2"],
+         "--steps": ["1", "3", "1000000000000000", "100000000000000000000"],
          "--horizon": ["1", "10"], "--out": ["run", "afile"]}
 _TABLE = {**_GRID, "--format": ["csv", "json"]}
 _FLAGS = {
