@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import germ_transform, sample_coupled_pair, validate_theta, validate_u
+from .coupling import (couple_rows, germ_transform, sample_coupled_pair, validate_theta,
+                       validate_u)
 from .paths import (
     CsvFormatError,
     DriftedLaw,
@@ -147,20 +148,12 @@ def _write_frag_process(out: FsPath, fmt: str, i: int, thetas, frags) -> None:
                  [(theta, frag, frag == math.inf) for theta, frag in zip(thetas, frags)])
 
 
-def _stems(cfg: RunConfig):
-    """The run's driftless stems, path ``i`` drawn from stream ``(seed, i)``,
-    in chunks: the path ids and their stems, one per row."""
-    grid = cfg.grid()
-    for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
-        yield ids.tolist(), sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
-
-
 def cmd_sample(cfg: RunConfig) -> FsPath:
     """Write n_paths driftless stems as path_<id>.csv plus a manifest."""
     out = _out_dir(cfg)
     grid = cfg.grid()
-    for ids, stems in _stems(cfg):
-        for i, stem in zip(ids, stems):
+    for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
+        for i, stem in zip(ids.tolist(), sample_bm_rows(grid, DriftedLaw(), words)):
             write_csv(Path(grid, stem), out / f"path_{i:05d}.csv")
     _write_json(out / "manifest.json", cfg.manifest("sample"))
     return out
@@ -186,20 +179,22 @@ def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
 def cmd_bouquet(cfg: RunConfig) -> FsPath:
     """One stem per path id, one branch per drift from the same stem.
 
-    Every branch replays the stream of its path id, so all branches of a
-    stem share the stem and its uniform draw, and the whole family is
-    coupled on one source of randomness; fragmentation times are
-    non-increasing across the drift grid on every stem.
+    Each chunk of path ids draws its words once and couples them at every
+    drift, so all branches of a stem share the stem and its uniform, and
+    the whole family is coupled on one source of randomness; fragmentation
+    times are non-increasing across the drift grid on every stem.
     """
     thetas = DriftGrid(cfg.thetas).thetas
     out = _out_dir(cfg)
     grid = cfg.grid()
-    for i in range(cfg.n_paths):
-        pairs = [sample_coupled_pair(grid, theta, substream(cfg.seed, i)) for theta in thetas]
-        write_csv(Path(grid, pairs[0][0]), out / f"stem_{i:05d}.csv")
-        for j, (_, branch, _) in enumerate(pairs):
-            write_csv(Path(grid, branch), out / f"branch_{i:05d}_theta{j}.csv")
-        _write_frag_process(out, cfg.fmt, i, thetas, [frag for _, _, frag in pairs])
+    for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps + 1, 0):
+        pairs = [couple_rows(grid, theta, words) for theta in thetas]
+        frags = zip(*(frag.tolist() for _, _, frag in pairs))
+        for r, (i, row) in enumerate(zip(ids.tolist(), frags)):
+            write_csv(Path(grid, pairs[0][0][r]), out / f"stem_{i:05d}.csv")
+            for j, (_, branches, _) in enumerate(pairs):
+                write_csv(Path(grid, branches[r]), out / f"branch_{i:05d}_theta{j}.csv")
+            _write_frag_process(out, cfg.fmt, i, thetas, row)
     _write_json(out / "manifest.json", cfg.manifest("bouquet"))
     return out
 
@@ -208,10 +203,11 @@ def cmd_frag_process(cfg: RunConfig) -> FsPath:
     """Fragmentation-time process of fresh stems over the drift grid."""
     dgrid = DriftGrid(cfg.thetas)
     out = _out_dir(cfg)
-    times = cfg.grid().times()
-    for ids, stems in _stems(cfg):
-        frags = fragmentation_process(times, stems, dgrid)
-        for i, row in zip(ids, frags.tolist()):
+    grid = cfg.grid()
+    times = grid.times()
+    for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
+        frags = fragmentation_process(times, sample_bm_rows(grid, DriftedLaw(), words), dgrid)
+        for i, row in zip(ids.tolist(), frags.tolist()):
             _write_frag_process(out, cfg.fmt, i, dgrid.thetas, row)
     _write_json(out / "manifest.json", cfg.manifest("frag-process"))
     return out

@@ -60,10 +60,10 @@ def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray
 
 
 def _finite_branch(grid, theta: float, values: np.ndarray) -> np.ndarray:
-    """The branch ``values`` on ``grid``; a reflected value beyond the range
-    of a double is rejected under ``theta``.
+    """The branches ``values`` on ``grid``, one path or many in rows; a
+    reflected value beyond the range of a double is rejected under ``theta``.
 
-    Callers compute one row with overflow silenced: an overflow in the
+    Callers compute the rows with overflow silenced: an overflow in the
     reflection start compares correctly, and one in the mirror shows here.
     """
     if not np.isfinite(values).all():
@@ -130,11 +130,8 @@ def sample_coupled_pair(grid, theta: float, stream: RngStream):
     Consumes ``n_steps`` words for the stem increments and then one word
     for the uniform, in that order, so replay of a stream is exact.
     """
-    # A log ratio of inf - inf is nan, which reflects; _finite_branch
-    # rejects a reflection that overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        stems, branches, frag = couple_rows(grid, theta, stream.words(grid.n_steps + 1)[None])
-    return stems[0], _finite_branch(grid, theta, branches[0]), float(frag[0])
+    stems, branches, frag = couple_rows(grid, theta, stream.words(grid.n_steps + 1)[None])
+    return stems[0], branches[0], float(frag[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,17 +149,22 @@ def couple_rows(grid, theta: float, words: np.ndarray):
     ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
     increments, then the uniform.  Returns the stems, the branches and the
     fragmentation time of each pair: the grid time of its reflection start,
-    ``inf`` when it was kept or nothing was reflected.
+    ``inf`` when it was kept or nothing was reflected.  A reflection beyond
+    the range of a double is rejected under ``theta``.
     """
     validate_theta(theta)
     n = grid.n_steps
-    stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
     times = _index_times(grid)
-    start = _reflection_start(times[:-1], stems, theta)
-    u = uniform01_from_words(words[:, n])
-    log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
-    start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
-    return stems, _mirror(times[:-1], stems, theta, start), times[start]
+    # A log ratio of inf - inf is nan, which reflects; _finite_branch
+    # rejects a reflection that overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+        start = _reflection_start(times[:-1], stems, theta)
+        u = uniform01_from_words(words[:, n])
+        log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
+        start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
+        branches = _mirror(times[:-1], stems, theta, start)
+    return stems, _finite_branch(grid, theta, branches), times[start]
 
 
 def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):

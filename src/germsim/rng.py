@@ -58,6 +58,13 @@ def _check_u64(name: str, value: int) -> int:
     return value
 
 
+def _check_count(name: str, value, least: int) -> int:
+    value = _check_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def uniform01_from_words(words: np.ndarray) -> np.ndarray:
     """Uniforms on ``[0, 1)``: the top 53 bits of each word, scaled."""
     return (words >> _TOP53).astype(np.float64) * _INV53
@@ -101,7 +108,7 @@ class RngStream:
     def words(self, n: int) -> np.ndarray:
         """The stream's next ``n`` words; consecutive calls continue where
         the last one stopped."""
-        return self._bits.random_raw(n)
+        return self._bits.random_raw(_check_count("n", n, 0))
 
 
 def substream(seed: int, task_id: int) -> RngStream:
@@ -113,14 +120,20 @@ def stream_words(seed: int, ids, n: int) -> np.ndarray:
     """The first ``n`` words of each stream ``(seed, id)``, one row per id.
 
     Row r equals ``RngStream(seed, ids[r]).words(n)``, so a row and the
-    stream give the same variates.  One C Philox, local to the call, is
-    re-keyed for each id.
+    stream give the same variates.  Each id is read as a 64-bit unsigned
+    integer, so 2.5 is rejected under ``ids`` instead of truncated.
     """
     seed = _check_u64("seed", seed)
-    ids = np.asarray(ids, dtype=np.uint64)
+    ids = [_check_u64("ids", i) for i in np.asarray(ids, dtype=object).tolist()]
+    return _rows(seed, ids, _check_count("n", n, 0))
+
+
+def _rows(seed: int, ids: list[int], n: int) -> np.ndarray:
+    """:func:`stream_words` of checked arguments: one C Philox, local to
+    the call, re-keyed for each id."""
     bits = np.random.Philox(_UNKEYED)
-    out = np.empty((ids.size, n), dtype=np.uint64)
-    for r, stream_id in enumerate(ids.tolist()):
+    out = np.empty((len(ids), n), dtype=np.uint64)
+    for r, stream_id in enumerate(ids):
         out[r] = _keyed(bits, seed, stream_id).random_raw(n)
     return out
 
@@ -136,8 +149,10 @@ CHUNK_WORDS = 1 << 15
 def word_rows(seed: int, n_rows: int, n_words: int, namespace: int):
     """The first ``n_words`` words of streams ``(seed, namespace | i)`` for
     i in range(n_rows), in chunks of about ``CHUNK_WORDS`` words: the ids
-    ``i`` of a chunk, ascending, and its :func:`stream_words` rows."""
+    ``i`` of a chunk, ascending, and its :func:`stream_words` rows.  The
+    arguments are checked once, by this call, not per chunk."""
+    seed, namespace = _check_u64("seed", seed), _check_u64("namespace", namespace)
+    n_rows, n_words = _check_count("n_rows", n_rows, 0), _check_count("n_words", n_words, 1)
     rows = max(1, CHUNK_WORDS // n_words)
-    for start in range(0, n_rows, rows):
-        ids = np.arange(start, min(start + rows, n_rows), dtype=np.uint64)
-        yield ids, stream_words(seed, namespace | ids, n_words)
+    chunks = (np.arange(i, min(i + rows, n_rows), dtype=np.uint64) for i in range(0, n_rows, rows))
+    return ((ids, _rows(seed, (namespace | ids).tolist(), n_words)) for ids in chunks)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from germsim import cli, verify
 from germsim.cli import RunConfig, cmd_couple, main
-from germsim.paths import TimeGrid, read_csv
-from germsim.rng import RngStream
+from germsim.coupling import sample_coupled_pair
+from germsim.paths import Path, TimeGrid, read_csv, write_csv
+from germsim.rng import RngStream, substream
 from germsim.stats import ks_threshold, reports_to_json
 from germsim.subordinator import DriftGrid
 from germsim.verify import VerifyConfig
@@ -435,6 +436,37 @@ def test_bouquet_shared_prefix_and_monotone_frags(tmp_path):
             before = stem.times < frag
             assert np.array_equal(stem.values[before], branch.values[before])
         assert all(b <= a for a, b in zip(frags, frags[1:]))
+
+
+def test_bouquet_draws_rows_not_streams(tmp_path):
+    # Every drift couples the words of one row draw; no per-path stream is keyed.
+    route = AssertionError("bouquet keyed a per-path stream")
+    with mock.patch.object(cli, "substream", side_effect=route), \
+            mock.patch.object(RngStream, "__init__", side_effect=route):
+        assert main(["bouquet", "--paths", "3", "--steps", "8", "--thetas", "0.5,2",
+                     "--out", str(tmp_path / "B")]) == 0
+    assert len(list((tmp_path / "B").iterdir())) == 13
+
+
+def test_bouquet_rows_equal_per_stream_pairs(tmp_path):
+    # Rows of 16,001 words come two to a chunk, so three paths take two
+    # chunks.  Each file equals the pair of the path's own stream at that
+    # drift, the route bouquet took before it drew rows.
+    seed, thetas = 5, (0.0, 0.5, 2.0)
+    assert main(["bouquet", "--seed", str(seed), "--paths", "3", "--steps", "16000",
+                 "--horizon", "10", "--thetas", "0,0.5,2", "--out", str(tmp_path / "B")]) == 0
+    grid, ref = TimeGrid(10.0, 16_000), tmp_path / "ref"
+    ref.mkdir()
+    for i in range(3):
+        pairs = [sample_coupled_pair(grid, theta, substream(seed, i)) for theta in thetas]
+        write_csv(Path(grid, pairs[0][0]), ref / f"stem_{i:05d}.csv")
+        for j, (_, branch, _) in enumerate(pairs):
+            write_csv(Path(grid, branch), ref / f"branch_{i:05d}_theta{j}.csv")
+        cli._write_frag_process(ref, "csv", i, thetas, [frag for _, _, frag in pairs])
+    names = sorted(f.name for f in ref.iterdir())
+    assert len(names) == 15
+    for name in names:
+        assert _read(tmp_path / "B" / name) == _read(ref / name), name
 
 
 def test_bouquet_requires_thetas(tmp_path, capsys):

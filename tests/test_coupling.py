@@ -212,8 +212,8 @@ def test_sampled_pair_prefix_agreement():
                     min_size=1, max_size=6, unique=True).map(sorted),
 )
 def test_bouquet_replay_shares_stem_and_frag_is_monotone(seed, n_steps, horizon, thetas):
-    # Pairs replaying one stream over an increasing drift grid, as
-    # `germsim bouquet` builds them.
+    # Pairs replaying one stream over an increasing drift grid couple the
+    # same words at every drift, as `germsim bouquet` couples each row.
     grid = TimeGrid(horizon, n_steps)
     pairs = [sample_coupled_pair(grid, theta, substream(seed, 0)) for theta in thetas]
     frags = [frag for _, _, frag in pairs]

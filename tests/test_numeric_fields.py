@@ -4,6 +4,7 @@ rule rejects, or a value outside the owner's range, is a ``ValueError``
 whose message starts with the argument's name."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from germsim.coupling import (
     validate_u,
 )
 from germsim.paths import DriftedLaw, Path, TimeGrid
-from germsim.rng import RngStream, stream_words, substream
+from germsim.rng import RngStream, stream_words, substream, word_rows
 from germsim.stats import branch_probability, fragmentation_cdf, ks_threshold, levy_cdf
 from germsim.subordinator import DriftGrid, sample_passage_time
 from germsim.verify import VerifyConfig
@@ -72,6 +73,14 @@ INTEGER = [
     # A task's stream is keyed by its id, so the id is checked as one.
     ("substream.task_id", "stream_id", lambda v: substream(0, v), True),
     ("stream_words.seed", "seed", lambda v: stream_words(v, [0], 1), True),
+    ("stream_words.ids", "ids", lambda v: stream_words(0, [v], 1), True),
+    # The rng counts have no upper bound of their own, so 10**400 is skipped.
+    ("stream_words.n", "n", lambda v: stream_words(0, [0], v), False),
+    ("RngStream.words.n", "n", lambda v: RngStream(0).words(v), False),
+    ("word_rows.seed", "seed", lambda v: word_rows(v, 2, 3, 0), True),
+    ("word_rows.n_rows", "n_rows", lambda v: word_rows(0, v, 3, 0), False),
+    ("word_rows.n_words", "n_words", lambda v: word_rows(0, 2, v, 0), False),
+    ("word_rows.namespace", "namespace", lambda v: word_rows(0, 2, 3, v), True),
     ("VerifyConfig.seed", "seed", lambda v: VerifyConfig(seed=v), True),
     ("RunConfig.seed", "seed", lambda v: RunConfig(seed=v), True),
     ("RunConfig.n_steps", "n_steps", lambda v: RunConfig(horizon=1e300, n_steps=v), True),
@@ -101,3 +110,41 @@ def test_ks_threshold_reads_n_as_an_integer():
     with pytest.raises(ValueError, match="^n must be an integer, got 2.5"):
         ks_threshold(2.5, 0.001)
     assert ks_threshold(np.int64(1000), 0.001) == ks_threshold(1000, 0.001)
+
+
+# Values either rule reads, outside the owner's range, or stream ids that
+# are not integers, which an unsigned array cast would truncate.
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: stream_words(0, [1.5], 3), "ids must be an integer, got 1.5",
+                 id="ids-1.5"),
+    pytest.param(lambda: stream_words(0, np.array([2.9]), 3),
+                 "ids must be an integer, got 2.9", id="ids-array-2.9"),
+    pytest.param(lambda: stream_words(0, [-1], 3),
+                 "ids must be a 64-bit unsigned integer, got -1", id="ids--1"),
+    pytest.param(lambda: stream_words(0, [2**64], 3),
+                 "ids must be a 64-bit unsigned integer, got 18446744073709551616",
+                 id="ids-2**64"),
+    pytest.param(lambda: stream_words(0, [0], -1), "n must be >= 0, got -1",
+                 id="stream_words.n--1"),
+    pytest.param(lambda: RngStream(0).words(-1), "n must be >= 0, got -1", id="words.n--1"),
+    pytest.param(lambda: RngStream(0).words(2.5), "n must be an integer, got 2.5",
+                 id="words.n-2.5"),
+    pytest.param(lambda: word_rows(0, -3, 4, 0), "n_rows must be >= 0, got -3",
+                 id="n_rows--3"),
+    pytest.param(lambda: word_rows(0, 2, 0, 0), "n_words must be >= 1, got 0",
+                 id="n_words-0"),
+    pytest.param(lambda: word_rows(0, 2, 3, -1),
+                 "namespace must be a 64-bit unsigned integer, got -1", id="namespace--1"),
+    pytest.param(lambda: word_rows(0, 2, 3, 1.5), "namespace must be an integer, got 1.5",
+                 id="namespace-1.5"),
+])
+def test_rng_rejects_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_rng_counts_of_zero_draw_nothing():
+    assert RngStream(0).words(0).size == 0
+    assert stream_words(0, [0, 1], 0).shape == (2, 0)
+    assert stream_words(0, [], 3).shape == (0, 3)
+    assert list(word_rows(0, 0, 3, 0)) == []
