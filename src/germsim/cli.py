@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import (couple_rows, germ_transform, sample_coupled_pair, validate_theta,
+from .coupling import (_couple_stems, germ_transform, sample_coupled_pair, validate_theta,
                        validate_u)
 from .paths import (
     CsvFormatError,
@@ -29,7 +29,7 @@ from .paths import (
     sample_bm_rows,
     write_csv,
 )
-from .rng import _check_int, _check_u64, substream, word_rows
+from .rng import _check_int, _check_u64, substream, uniform01_from_words, word_rows
 from .stats import reports_to_json
 from .subordinator import DriftGrid, fragmentation_process
 from .verify import VerifyConfig, format_report_lines, run_verification
@@ -179,20 +179,21 @@ def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
 def cmd_bouquet(cfg: RunConfig) -> FsPath:
     """One stem per path id, one branch per drift from the same stem.
 
-    Each chunk of path ids draws its words once and couples them at every
-    drift, so all branches of a stem share the stem and its uniform, and
-    the whole family is coupled on one source of randomness; fragmentation
-    times are non-increasing across the drift grid on every stem.
+    Each chunk of path ids draws its words and builds its stems once, then
+    couples them at every drift: all branches of a stem share it and its
+    uniform, so fragmentation times are non-increasing across the drift grid.
     """
     thetas = DriftGrid(cfg.thetas).thetas
     out = _out_dir(cfg)
     grid = cfg.grid()
     for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps + 1, 0):
-        pairs = [couple_rows(grid, theta, words) for theta in thetas]
-        frags = zip(*(frag.tolist() for _, _, frag in pairs))
+        stems = sample_bm_rows(grid, DriftedLaw(), words)
+        u = uniform01_from_words(words[:, grid.n_steps])
+        pairs = [_couple_stems(grid, theta, stems, u) for theta in thetas]
+        frags = zip(*(frag.tolist() for _, frag in pairs))
         for r, (i, row) in enumerate(zip(ids.tolist(), frags)):
-            write_csv(Path(grid, pairs[0][0][r]), out / f"stem_{i:05d}.csv")
-            for j, (_, branches, _) in enumerate(pairs):
+            write_csv(Path(grid, stems[r]), out / f"stem_{i:05d}.csv")
+            for j, (branches, _) in enumerate(pairs):
                 write_csv(Path(grid, branches[r]), out / f"branch_{i:05d}_theta{j}.csv")
             _write_frag_process(out, cfg.fmt, i, thetas, row)
     _write_json(out / "manifest.json", cfg.manifest("bouquet"))

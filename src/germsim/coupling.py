@@ -3,6 +3,10 @@ finite-horizon germ transform, fragmentation and meeting times, and time
 inversion.  Inversion and meeting times take plain arrays, paths sampled
 on one grid of ``times``, because the inverted grid is not uniform.
 
+One kernel, :func:`_couple_stems`, keeps or mirrors given stems in rows;
+:func:`couple_rows`, ``bouquet`` and :func:`reflect_after_last_visit`
+(one path, no keep decision) all call it.
+
 Every fragmentation time is a grid time from one rule, the reflection
 start: one past the last grid point at or above the line theta * t / 2.
 The transforms copy the untouched prefix of their input verbatim, so the
@@ -23,20 +27,13 @@ from .rng import RngStream, uniform01_from_words
 
 
 def reflect_after_last_visit(w: Path, theta: float) -> Path:
-    """Mirror the path across the line theta * t / 2 after its last grid visit.
-
-    A single backward sweep: every trailing grid point strictly below the
-    line is replaced by theta * t - w(t), and the sweep stops at the last
-    grid point at or above the line; everything before it is copied
-    bit-exactly.  Returns ``w`` itself when nothing is mirrored.
-    """
-    validate_theta(theta)
-    ts, row = w.times, w.values[None]
-    with np.errstate(over="ignore"):
-        start = _reflection_start(ts, row, theta)
-        if start[0] > w.grid.n_steps:
-            return w
-        return Path(w.grid, _finite_branch(w.grid, theta, _mirror(ts, row, theta, start)[0]))
+    """Mirror the path across the line theta * t / 2 after its last grid visit:
+    every trailing grid point strictly below the line becomes theta * t - w(t),
+    and everything up to the last point at or above it is copied bit-exactly.
+    Returns ``w`` itself when nothing is mirrored."""
+    theta = validate_theta(theta)
+    branches, frag = _couple_stems(w.grid, theta, w.values[None])
+    return w if frag[0] == math.inf else Path(w.grid, branches[0])
 
 
 def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.ndarray:
@@ -52,24 +49,6 @@ def _reflection_start(times: np.ndarray, rows: np.ndarray, theta: float) -> np.n
     last = times.size - 1 - at_or_above[..., ::-1].argmax(axis=-1)
     at_last = np.take_along_axis(at_or_above, last[..., None], axis=-1)[..., 0]
     return np.where(at_last, last + 1, 0)
-
-
-def _mirror(times: np.ndarray, rows: np.ndarray, theta: float, start: np.ndarray) -> np.ndarray:
-    """``rows`` with theta * t - w(t) in place of w(t) from each row's ``start`` on."""
-    return np.where(np.arange(times.size) >= start[:, None], theta * times - rows, rows)
-
-
-def _finite_branch(grid, theta: float, values: np.ndarray) -> np.ndarray:
-    """The branches ``values`` on ``grid``, one path or many in rows; a
-    reflected value beyond the range of a double is rejected under ``theta``.
-
-    Callers compute the rows with overflow silenced: an overflow in the
-    reflection start compares correctly, and one in the mirror shows here.
-    """
-    if not np.isfinite(values).all():
-        raise ValueError(f"theta = {theta!r} on horizon {grid.horizon!r} takes the "
-                         "reflection theta * t - w(t) beyond the range of a double")
-    return values
 
 
 def validate_theta(theta: float, name: str = "theta") -> float:
@@ -148,23 +127,35 @@ def couple_rows(grid, theta: float, words: np.ndarray):
 
     ``words`` holds ``n_steps + 1`` words of each stream per row: the stem
     increments, then the uniform.  Returns the stems, the branches and the
-    fragmentation time of each pair: the grid time of its reflection start,
-    ``inf`` when it was kept or nothing was reflected.  A reflection beyond
-    the range of a double is rejected under ``theta``.
+    fragmentation time of each pair, as :func:`_couple_stems` does.
     """
-    validate_theta(theta)
+    theta = validate_theta(theta)
+    stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
+    return stems, *_couple_stems(grid, theta, stems, uniform01_from_words(words[:, grid.n_steps]))
+
+
+def _couple_stems(grid, theta: float, stems: np.ndarray, u: np.ndarray | None = None):
+    """The germ transform of each row of ``stems`` on ``grid``: kept where
+    its uniform ``u`` is at most the endpoint likelihood ratio, otherwise
+    mirrored to theta * t - w(t) from its reflection start on; ``u=None``
+    mirrors every row.  Returns the branches and each pair's fragmentation
+    time: the grid time of its reflection start, ``inf`` when it was kept or
+    nothing was mirrored.  A mirror beyond a double is rejected under theta.
+    """
     n = grid.n_steps
     times = _index_times(grid)
-    # A log ratio of inf - inf is nan, which reflects; _finite_branch
-    # rejects a reflection that overflows.
+    # An overflow in the reflection start compares correctly and a log ratio
+    # of inf - inf is nan, which reflects; one in the mirror is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        stems = sample_bm_rows(grid, DriftedLaw(0.0, 0.0), words)
         start = _reflection_start(times[:-1], stems, theta)
-        u = uniform01_from_words(words[:, n])
-        log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
-        start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
-        branches = _mirror(times[:-1], stems, theta, start)
-    return stems, _finite_branch(grid, theta, branches), times[start]
+        if u is not None:
+            log_ratio = _log_likelihood_ratio(stems[:, -1], theta, grid.horizon)
+            start[np.fromiter(map(_keeps, u.tolist(), log_ratio.tolist()), dtype=bool)] = n + 1
+        branches = np.where(np.arange(n + 1) >= start[:, None], theta * times[:-1] - stems, stems)
+    if not np.isfinite(branches).all():
+        raise ValueError(f"theta = {theta!r} on horizon {grid.horizon!r} takes the "
+                         "reflection theta * t - w(t) beyond the range of a double")
+    return branches, times[start]
 
 
 def invert_time(times: np.ndarray, values: np.ndarray, t_min: float):

@@ -15,11 +15,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import _repr
-from .rng import _check_int, normal_from_words
-
-# The most float64 elements a count may ask of one array: its bytes fit an
-# intp, with half to spare for np.linspace rounding its length to a double.
-_MAX_LENGTH = np.iinfo(np.intp).max // 16
+from .rng import _MAX_LENGTH, _check_int, normal_from_words
 
 
 class CsvFormatError(ValueError):

@@ -27,6 +27,7 @@ for bit with any other route to the same words.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 
 import numpy as np
@@ -37,18 +38,22 @@ _INV53 = 2.0**-53
 _U_MAX = 1.0 - 2.0**-53
 _U64_MAX = 2**64
 
+# The most 8-byte elements (doubles or words) a count may ask of one array: its
+# bytes fit an intp, with half to spare for np.linspace rounding its length.
+_MAX_LENGTH = np.iinfo(np.intp).max // 16
+
 # Seeds each new generator before its key is set: a fixed sequence spares
 # numpy drawing OS entropy and building a pool for every generator.
 _UNKEYED = np.random.SeedSequence(0)
 
 
 def _check_int(name: str, value) -> int:
-    """``value`` as an int, by ``operator.index``, so 2.5 or 4.0 is rejected
-    under ``name`` instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int, by ``operator.index``, so 2.5, 4.0 or ``True`` (index
+    1) is rejected under ``name`` instead of being truncated."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -58,10 +63,13 @@ def _check_u64(name: str, value: int) -> int:
     return value
 
 
-def _check_count(name: str, value, least: int) -> int:
+def _check_count(name: str, value, least: int, bounded: bool = True) -> int:
+    """``value`` as an int of at least ``least`` and, if ``bounded``, below ``_MAX_LENGTH``."""
     value = _check_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if bounded and value >= _MAX_LENGTH:
+        raise ValueError(f"{name} must be < {_MAX_LENGTH}, got {value}")
     return value
 
 
@@ -152,7 +160,8 @@ def word_rows(seed: int, n_rows: int, n_words: int, namespace: int):
     ``i`` of a chunk, ascending, and its :func:`stream_words` rows.  The
     arguments are checked once, by this call, not per chunk."""
     seed, namespace = _check_u64("seed", seed), _check_u64("namespace", namespace)
-    n_rows, n_words = _check_count("n_rows", n_rows, 0), _check_count("n_words", n_words, 1)
+    n_rows = _check_count("n_rows", n_rows, 0, bounded=False)  # drawn a chunk at a time
+    n_words = _check_count("n_words", n_words, 1)
     rows = max(1, CHUNK_WORDS // n_words)
     chunks = (np.arange(i, min(i + rows, n_rows), dtype=np.uint64) for i in range(0, n_rows, rows))
     return ((ids, _rows(seed, (namespace | ids).tolist(), n_words)) for ids in chunks)

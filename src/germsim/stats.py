@@ -11,8 +11,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .coupling import validate_theta
-from .paths import _MAX_LENGTH, _real
-from .rng import _check_int
+from .paths import _real
+from .rng import _MAX_LENGTH, _check_int
 
 
 def std_normal_cdf(x):

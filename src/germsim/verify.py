@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import _index_times, couple_rows, first_meeting, invert_time
-from .paths import _MAX_LENGTH, DriftedLaw, TimeGrid, _real, sample_bm_rows
-from .rng import _check_u64, normal_from_words, stream_words, uniform01_from_words, word_rows
+from .paths import DriftedLaw, TimeGrid, _real, sample_bm_rows
+from .rng import (_MAX_LENGTH, _check_u64, normal_from_words, stream_words, uniform01_from_words,
+                  word_rows)
 from .stats import (
     Ecdf,
     GofReport,

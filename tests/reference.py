@@ -35,13 +35,25 @@ def coupled_pair(times, horizon, theta, stream):
     for z in normal_from_words(words[:n_steps]).tolist():
         stem.append(stem[-1] + sd * z)
     u = float(uniform01_from_words(words[n_steps:])[0])
-    x = theta * stem[-1] - 0.5 * theta * theta * horizon
-    kept = x >= 0 or u <= math.exp(x)
-    branch = list(stem)
-    if not kept:
-        for k in range(reflection_start(times, stem, theta), n_steps + 1):
-            branch[k] = theta * times[k] - stem[k]
-    return stem, branch
+    if keeps(theta, horizon, stem[-1], u):
+        return stem, list(stem)
+    return stem, reflected(times, stem, theta)
+
+
+def keeps(theta, horizon, w_end, u):
+    """The keep rule ``u <= exp(theta * w(T) - theta^2 * T / 2)``; a
+    nonnegative exponent keeps without evaluating exp."""
+    x = theta * w_end - 0.5 * theta * theta * horizon
+    return x >= 0 or u <= math.exp(x)
+
+
+def reflected(times, values, theta):
+    """``values`` with theta * t - w(t) in place of w(t) at every index
+    from :func:`reflection_start` on, one point at a time."""
+    branch = list(values)
+    for k in range(reflection_start(times, values, theta), len(values)):
+        branch[k] = theta * times[k] - values[k]
+    return branch
 
 
 def reflection_start(times, values, theta):

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from germsim import cli, verify
+from germsim import cli, coupling, verify
 from germsim.cli import RunConfig, cmd_couple, main
 from germsim.coupling import sample_coupled_pair
-from germsim.paths import Path, TimeGrid, read_csv, write_csv
+from germsim.paths import Path, TimeGrid, read_csv, sample_bm_rows, write_csv
 from germsim.rng import RngStream, substream
 from germsim.stats import ks_threshold, reports_to_json
 from germsim.subordinator import DriftGrid
@@ -446,6 +446,22 @@ def test_bouquet_draws_rows_not_streams(tmp_path):
         assert main(["bouquet", "--paths", "3", "--steps", "8", "--thetas", "0.5,2",
                      "--out", str(tmp_path / "B")]) == 0
     assert len(list((tmp_path / "B").iterdir())) == 13
+
+
+def test_bouquet_builds_each_stem_once(tmp_path, monkeypatch):
+    # Rows of 16,001 words come two to a chunk, so three paths take two
+    # chunks; each chunk's stems are built once and coupled at both drifts.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_bm_rows(*args)
+
+    for module in (cli, coupling):
+        monkeypatch.setattr(module, "sample_bm_rows", counted)
+    assert main(["bouquet", "--paths", "3", "--steps", "16000", "--thetas", "0.5,2",
+                 "--out", str(tmp_path / "B")]) == 0
+    assert len(calls) == 2
 
 
 def test_bouquet_rows_equal_per_stream_pairs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import first_difference, reflection_start
+from reference import first_difference, keeps, reflected, reflection_start
 
 from germsim.coupling import (
     first_meeting,
@@ -96,6 +96,36 @@ def test_sign_separation_on_reflected_indices():
         mask = branch.values != stem.values
         d = stem.values - line_value(theta, grid.times())
         assert np.all(d[mask] < 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_steps=st.integers(1, 40),
+       horizon=st.floats(0.01, 100.0), theta=st.floats(0.0, 8.0), u=st.floats(0.0, 1.0),
+       pin_end=st.booleans())
+# w(T) one ulp below theta * T / 2 = 0.5: the log ratio is -2**-54, whose
+# exp rounds to 1.0, so u = 1 keeps; yet w(T) lies below the line, so the
+# reflection alone mirrors it.
+@example(seed=0, n_steps=16, horizon=1.0, theta=1.0, u=1.0, pin_end=True)
+def test_one_path_transforms_match_reference(seed, n_steps, horizon, theta, u, pin_end):
+    # Both one-path transforms, bit for bit against the reference's backward
+    # sweep and per-point mirror; each returns ``w`` itself where it leaves
+    # every point as it is.
+    grid = TimeGrid(horizon, n_steps)
+    values = stems_of(grid, seed, [0])[0].tolist()
+    if pin_end:
+        values[-1] = math.nextafter(line_value(theta, horizon), -math.inf)
+    w, times = Path(grid, values), grid.times().tolist()
+    mirrored = reflection_start(times, values, theta) <= n_steps
+    expected = np.array(reflected(times, values, theta)).tobytes()
+    out = reflect_after_last_visit(w, theta)
+    assert (out is w) == (not mirrored)
+    assert out.values.tobytes() == expected
+    if pin_end:
+        assert out.values[-1] != values[-1]
+    branch = germ_transform(w, u, theta)
+    kept = keeps(theta, horizon, values[-1], u)
+    assert (branch is w) == (kept or not mirrored)
+    assert branch.values.tobytes() == (w.values.tobytes() if kept else expected)
 
 
 # ------------------------------------------------------------ germ transform

@@ -20,7 +20,7 @@ from germsim.coupling import (
     validate_u,
 )
 from germsim.paths import DriftedLaw, Path, TimeGrid
-from germsim.rng import RngStream, stream_words, substream, word_rows
+from germsim.rng import _MAX_LENGTH, RngStream, stream_words, substream, word_rows
 from germsim.stats import branch_probability, fragmentation_cdf, ks_threshold, levy_cdf
 from germsim.subordinator import DriftGrid, sample_passage_time
 from germsim.verify import VerifyConfig
@@ -74,12 +74,12 @@ INTEGER = [
     ("substream.task_id", "stream_id", lambda v: substream(0, v), True),
     ("stream_words.seed", "seed", lambda v: stream_words(v, [0], 1), True),
     ("stream_words.ids", "ids", lambda v: stream_words(0, [v], 1), True),
-    # The rng counts have no upper bound of their own, so 10**400 is skipped.
-    ("stream_words.n", "n", lambda v: stream_words(0, [0], v), False),
-    ("RngStream.words.n", "n", lambda v: RngStream(0).words(v), False),
+    ("stream_words.n", "n", lambda v: stream_words(0, [0], v), True),
+    ("RngStream.words.n", "n", lambda v: RngStream(0).words(v), True),
     ("word_rows.seed", "seed", lambda v: word_rows(v, 2, 3, 0), True),
+    # Rows are drawn a chunk at a time, so no array bounds their count.
     ("word_rows.n_rows", "n_rows", lambda v: word_rows(0, v, 3, 0), False),
-    ("word_rows.n_words", "n_words", lambda v: word_rows(0, 2, v, 0), False),
+    ("word_rows.n_words", "n_words", lambda v: word_rows(0, 2, v, 0), True),
     ("word_rows.namespace", "namespace", lambda v: word_rows(0, 2, 3, v), True),
     ("VerifyConfig.seed", "seed", lambda v: VerifyConfig(seed=v), True),
     ("RunConfig.seed", "seed", lambda v: RunConfig(seed=v), True),
@@ -90,8 +90,10 @@ INTEGER = [
 
 CASES = [pytest.param(call, field, value, id=f"{arg}-{label}")
          for arg, field, call in REAL for label, value in HOSTILE.items()]
+# ``operator.index(True)`` is 1, so a boolean is hostile to the integer rule.
 CASES += [pytest.param(call, field, value, id=f"{arg}-{label}")
-          for arg, field, call, huge in INTEGER for label, value in HOSTILE.items()
+          for arg, field, call, huge in INTEGER
+          for label, value in {**HOSTILE, "True": True}.items()
           if huge or label != "10**400"]
 
 
@@ -137,6 +139,10 @@ def test_ks_threshold_reads_n_as_an_integer():
                  "namespace must be a 64-bit unsigned integer, got -1", id="namespace--1"),
     pytest.param(lambda: word_rows(0, 2, 3, 1.5), "namespace must be an integer, got 1.5",
                  id="namespace-1.5"),
+    pytest.param(lambda: stream_words(0, [True], 2), "ids must be an integer, got True",
+                 id="ids-True"),
+    pytest.param(lambda: word_rows(0, 2, _MAX_LENGTH, 0),
+                 f"n_words must be < {_MAX_LENGTH}, got {_MAX_LENGTH}", id="n_words-max"),
 ])
 def test_rng_rejects_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
