@@ -10,7 +10,7 @@ import pathlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -168,8 +168,16 @@ def _write_text(destination, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# Rows that read_csv splits into cells at a time: about 150 kB of cell strings.
-_READ_CHUNK_ROWS = 1024
+# Bytes of rows that read_csv decodes and splits into cells at a time; the
+# cell strings of a chunk take about four times its size.
+_READ_CHUNK_BYTES = 1 << 16
+
+_HEADER = b"t,value\n"
+
+# The bytes of a cell in a canonical text: all that repr and "%.17g" write
+# for a finite double.
+_CELL_BYTES = b"0123456789.eE+-"
+_HEADER_LEFT = _HEADER.translate(None, _CELL_BYTES)  # b"t,valu\n"
 
 _TOO_FEW_ROWS = "need at least 2 grid rows (n_steps >= 1)"
 
@@ -209,6 +217,13 @@ def _time_grid(column: str) -> TimeGrid:
     return grid
 
 
+def _cited(exc: _GridError, linenos) -> CsvFormatError:
+    """``exc`` as a :class:`CsvFormatError` citing ``linenos[row]``, the
+    line of the data row it names."""
+    row, message = exc.args
+    return CsvFormatError(message if row is None else f"line {linenos[row]}: {message}")
+
+
 def read_csv(source) -> Path:
     """Parse a path CSV written by :func:`write_csv`.
 
@@ -216,62 +231,110 @@ def read_csv(source) -> Path:
     Blank lines are skipped.  Every time must lie within
     ``1e-9 * max(1, T)`` of the uniform grid on [0, T], T > 0 the last time.
     Errors cite the 1-based line number of the offending row.
+
+    ``source`` is a file name, read as UTF-8 bytes, or an object whose
+    ``read`` returns text.  A canonical text (see :func:`_read_canonical`),
+    as every file write_csv writes is, is converted with no Python step per
+    row; any other text is read one row at a time by :func:`_scan_rows`.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
+        data = text.encode("ascii") if text.isascii() else b""  # b"" is not canonical
     else:
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "t,value":
-        raise CsvFormatError("line 1: expected header 't,value'")
-    body = list(filter(str.strip, islice(lines, 1, None)))
-    if not body:
-        raise CsvFormatError(_TOO_FEW_ROWS)
-    # Check and convert all rows with no Python step per row; only a text
-    # holding a row that is not two finite numbers is scanned row by row, to
-    # find the line the error cites.  Every row holds one comma, so joining
-    # rows with commas and splitting there gives their cells in order; a
-    # chunk of rows at a time bounds the cell strings alive at once.  The
-    # values are converted here; the time cells, joined back into one text,
-    # go to _time_grid, which converts a text it has not seen before.
+        with open(os.fspath(source), "rb") as fh:
+            data = fh.read()
+        text = None
+    path = _read_canonical(data)
+    if path is None:
+        path = _scan_rows(_decode(data) if text is None else text)
+    return path
+
+
+def _read_canonical(data: bytes) -> Path | None:
+    """The path ``data`` holds if it is canonical and every cell is a finite
+    number, ``None`` otherwise, for :func:`_scan_rows` to read or cite.
+
+    A canonical text is the header ``t,value\\n``, then at least one row of
+    two cells made of ``_CELL_BYTES``, a comma between them and ``\\n`` after,
+    and nothing more.  Rows are decoded and split on both separators a
+    chunk of ``_READ_CHUNK_BYTES`` at a time.  The values are converted
+    there; the time cells, joined back into one column, go to
+    :func:`_time_grid`.
+    """
+    # With the cell bytes gone, the header leaves _HEADER_LEFT, which holds
+    # no ",\n", and a canonical body leaves exactly ",\n" once per row.
+    seps = data.translate(None, _CELL_BYTES)
+    n_rows = seps.count(b",\n")
+    if not (n_rows and len(seps) == len(_HEADER_LEFT) + 2 * n_rows
+            and data.startswith(_HEADER) and data.endswith(b"\n")):
+        return None
+    values = np.empty(n_rows)
+    times = []
+    row, start = 0, len(_HEADER)
+    while start < len(data):
+        end = data.index(b"\n", min(start + _READ_CHUNK_BYTES, len(data) - 1))
+        cells = data[start:end].decode("ascii").replace("\n", ",").split(",")
+        times.append(",".join(cells[0::2]))
+        k = len(cells) // 2
+        try:
+            values[row:row + k] = np.fromiter(map(float, cells[1::2]), dtype=np.float64, count=k)
+        except ValueError:
+            return None
+        row, start = row + k, end + 1
+    if not np.isfinite(values).all():
+        return None
     try:
-        if set(map(str.count, body, repeat(","))) - {1}:
-            raise ValueError
-        values = np.empty(len(body))
-        times = []
-        for start in range(0, len(body), _READ_CHUNK_ROWS):
-            chunk = ",".join(body[start:start + _READ_CHUNK_ROWS]).split(",")
-            times.append(",".join(chunk[0::2]))
-            values[start:start + len(chunk) // 2] = np.fromiter(
-                map(float, chunk[1::2]), dtype=np.float64, count=len(chunk) // 2)
-        if not np.isfinite(values).all():
-            raise ValueError
         grid = _time_grid(",".join(times))
     except ValueError:
-        raise _row_error(lines) from None
+        return None
     except _GridError as exc:
-        row, message = exc.args
-        if row is not None:
-            message = f"line {_line_of_row(lines, row)}: {message}"
-        raise CsvFormatError(message) from None
+        raise _cited(exc, range(2, n_rows + 2)) from None
     return Path(grid, values)
 
 
-def _rows(lines):
-    """(1-based line number, text) of each non-blank line after the header."""
-    return ((n, raw) for n, raw in enumerate(islice(lines, 1, None), start=2) if raw.strip())
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text, or the error citing the line of its first
+    byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CsvFormatError(f"line {lineno}: not UTF-8 text") from None
 
 
-def _line_of_row(lines, row: int) -> int:
-    """Line number of data row ``row`` (0-based, blank lines not counted)."""
-    return next(islice(_rows(lines), row, None))[0]
+def _scan_rows(text: str) -> Path:
+    """The path ``text`` holds, read one line at a time.  Lines end as
+    :meth:`str.splitlines` ends them, and blank lines are skipped.
+
+    As on the canonical route, the time column goes to :func:`_time_grid`
+    once every row holds two cells and a finite value; any other text is
+    cited at its first offending line by :func:`_row_error`.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "t,value":
+        raise CsvFormatError("line 1: expected header 't,value'")
+    rows = [(n, raw.split(",")) for n, raw in enumerate(islice(lines, 1, None), start=2)
+            if raw.strip()]
+    if not rows:
+        raise CsvFormatError(_TOO_FEW_ROWS)
+    try:
+        if any(len(parts) != 2 for _, parts in rows):
+            raise ValueError
+        values = np.array([float(parts[1]) for _, parts in rows])
+        if not np.isfinite(values).all():
+            raise ValueError
+        grid = _time_grid(",".join(parts[0] for _, parts in rows))
+    except ValueError:
+        raise _row_error(rows) from None
+    except _GridError as exc:
+        raise _cited(exc, [n for n, _ in rows]) from None
+    return Path(grid, values)
 
 
-def _row_error(lines) -> CsvFormatError:
+def _row_error(rows) -> CsvFormatError:
     """The error of the first row that does not hold two finite numbers;
-    called only once :func:`read_csv` has found that such a row exists."""
-    for lineno, raw in _rows(lines):
-        parts = raw.split(",")
+    called only once :func:`_scan_rows` has found that such a row exists."""
+    for lineno, parts in rows:
         if len(parts) != 2:
             return CsvFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
         row = []

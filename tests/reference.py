@@ -13,8 +13,9 @@ germsim, so the tests compare two implementations, not one with itself.
 
 It also holds the path CSV format as one loop step per row: a writer of
 ``repr`` cells and a reader that parses, checks and cites each line in
-turn.  germsim's ``write_csv`` and ``read_csv`` handle the whole text at
-once and must agree with them byte for byte and message for message.
+turn.  germsim's ``write_csv`` formats blocks of values at once and its
+``read_csv`` converts a canonical text a chunk of rows at a time; both must
+agree with them byte for byte and message for message.
 """
 
 import math

@@ -1,8 +1,8 @@
 """The workflow's CLI byte checks, run in process through ``cli.main``.
 
-Each test is one step of ``.github/workflows/tests.yml``, with its commands,
-file counts, sha256 digests and ``cmp`` pairs copied verbatim, so the bytes
-those steps pin are checked by every tier-1 run.
+Each test function is one step of ``.github/workflows/tests.yml``, with its
+commands, file counts, sha256 digests and ``cmp`` pairs copied verbatim, so
+the bytes those steps pin are checked by every tier-1 run.
 """
 
 import hashlib
@@ -66,4 +66,64 @@ def test_fragmentation_process_matches_bouquet(run, tmp_path):
     for a, b in (("B/frag_process_00000.csv", "F/frag_process_00000.csv"),
                  ("B/frag_process_00001.csv", "F/frag_process_00001.csv"),
                  ("B24/frag_process_00000.csv", "F24/frag_process_00000.csv")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes(), a
+
+
+CSV_ROUND_TRIP = {
+    "R/branch_00000.csv": "dd659541adb406ef0ec9bac25f5dc4c49d7a25caa53a67cb7d966650386bafe0",
+    "R/branch_00001.csv": "3be5f6a6fcd83a67dcf7ae64803b151231556902e69ac6a767d722e2a3883b16",
+    "R/frag_times.csv": "c045aa2c378a76671f9f85d9ea59db6a23d209349720a7dfa30d52604b497254",
+    "R/manifest.json": "7342859dffcd3af01a22a17c7196aa4265855e3923323b1f8d8da6bc86b27a78",
+    "R/stem_00000.csv": "1aca429a885af2eba62a53cadbe9135af346ee89ee266adc9ce3b128d26219b4",
+    "R/stem_00001.csv": "d47304b94287550ebbedfe3409e3f0a82483071d7ada6fcfdfe92a17fb13b4fa",
+    "R/transformed.csv": "dd659541adb406ef0ec9bac25f5dc4c49d7a25caa53a67cb7d966650386bafe0",
+}
+
+CSV_LONG_FILES = {
+    "C/branch_00000.csv": "e9e3de6b2855ad6856a72605e7105b8b7929f0948f97000246e77e6a27e5e9d6",
+    "C/branch_00001.csv": "b2027af7073261368a767a3f2a8a3bd078e226b69b2e820f6f3b68dfbcdd1c15",
+    "C/stem_00000.csv": "f98bfb944721ce312008e26bdc41d20422b3888a16f1998eaad711bb5b28f467",
+    "C/stem_00001.csv": "61b2012bf6f02f95dbb1231e60a462fefea26526f35fcb1c87c9646d26bd0ef5",
+    "S/path_00000.csv": "3359986edf47fd0d7722e1d090582203c338f2ac1855d8a07618f53573b21d2e",
+    "T.csv": "dd9ea3d4cf5e17e5ef4be620baad4196751008f99fe1fda9b74f2843d8944762",
+}
+
+CSV_ROWS_384_385 = {
+    "W384/manifest.json": "ab9557691a54b8e990cfc54647f7b44d927083b372d484347616bba109af6ace",
+    "W384/path_00000.csv": "480d25b7db5336d42e8817a352a3253c62484eefc273fab8ba8fb6e26ebfbf01",
+    "W384/path_00001.csv": "ee14474793c17f7b4728407d94cbfb443a28439ca8c34d7f4d164f58fab23902",
+    "W385/manifest.json": "6c49587d8dd606297a98718939bb03a64b560eef2380e617cdd5ae447eb0e207",
+    "W385/path_00000.csv": "4e40484db60c0c7e3a24478c3ad26f770243a5b02b96efc226ae4913adc07297",
+    "W385/path_00001.csv": "91c6384089c909fa37e44f007df4141e5e7572b74262342c55cdd0245b2ec128",
+}
+
+
+def test_csv_round_trip(run, tmp_path):
+    # Write a coupled run, transform its first stem back from the file,
+    # and check every byte. The transform takes the reflect branch, so
+    # its output equals the run's own branch file.
+    run("couple --seed 0 --paths 2 --steps 1000 --horizon 10 --theta 2 --out R")
+    run("germ-transform --in R/stem_00000.csv --theta 2 --u 0.5 --out R/transformed.csv")
+    assert {name: _sha256(tmp_path / name) for name in CSV_ROUND_TRIP} == CSV_ROUND_TRIP
+    # Files longer than one write_csv block of 4,096 values.
+    run("couple --seed 0 --paths 2 --steps 10000 --horizon 10 --theta 2 --out C")
+    run("sample --seed 0 --paths 1 --steps 15000 --horizon 10 --out S")
+    run("germ-transform --in S/path_00000.csv --theta 2 --u 0.9 --out T.csv")
+    assert {name: _sha256(tmp_path / name) for name in CSV_LONG_FILES} == CSV_LONG_FILES
+    # Rows of 384 and 385 words, where stream_words used to switch
+    # from a numpy Philox to the C one; the words must not move.
+    run("sample --seed 0 --paths 2 --steps 384 --out W384")
+    run("sample --seed 0 --paths 2 --steps 385 --out W385")
+    assert {name: _sha256(tmp_path / name) for name in CSV_ROWS_384_385} == CSV_ROWS_384_385
+
+
+@pytest.mark.parametrize("steps", [64, 1000])
+def test_sample_matches_couple_stems(run, tmp_path, steps):
+    # sample draws its stems as rows and couple one pair per stream, so
+    # their stems agree byte for byte, on short and on long rows.
+    args = f"--seed 0 --paths 3 --horizon 10 --steps {steps}"
+    run(f"sample {args} --out S{steps}")
+    run(f"couple {args} --theta 2 --out C{steps}")
+    for i in ("00000", "00001", "00002"):
+        a, b = f"S{steps}/path_{i}.csv", f"C{steps}/stem_{i}.csv"
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes(), a

@@ -637,13 +637,16 @@ def test_germ_transform_missing_file_names_its_flag(tmp_path, capsys, flag):
 
 def test_germ_transform_bad_csv_names_its_flag_and_file(tmp_path, capsys):
     src = tmp_path / "in.csv"
-    src.write_text("t,value\n0.0,0.0\n0.5,nan\n1.0,-0.5\n")
     dst = tmp_path / "out.csv"
-    rc = main(["germ-transform", "--in", str(src), "--theta", "1", "--u", "0.5",
-               "--out", str(dst)])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: in: {str(src)!r}: line 3: non-finite cell\n"
-    assert not dst.exists()
+    for data, message in ((b"t,value\n0.0,0.0\n0.5,nan\n1.0,-0.5\n", "line 3: non-finite cell"),
+                          (b"t,value\n0,0\n1,\xff\n", "line 3: not UTF-8 text"),
+                          (b"t,value\r\n0,\xc3\xa9\r\r\n\xff", "line 4: not UTF-8 text")):
+        src.write_bytes(data)
+        rc = main(["germ-transform", "--in", str(src), "--theta", "1", "--u", "0.5",
+                   "--out", str(dst)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: in: {str(src)!r}: {message}\n"
+        assert not dst.exists()
 
 
 @pytest.mark.parametrize("theta,u,message", [

@@ -1,6 +1,8 @@
 import io
 import math
+import pathlib
 import sys
+import tempfile
 import tracemalloc
 from collections import OrderedDict
 
@@ -292,31 +294,61 @@ def test_write_csv_memory_stays_blocked():
     assert peak < 2.5e6
 
 
-@pytest.mark.parametrize("bad", [None, "x,1", "1,inf", "1,2,3"])
-def test_read_csv_agrees_across_row_chunks(bad):
-    # read_csv converts its rows a chunk at a time: a text of several chunks,
-    # with blank lines, reads like the per-line reader, and a bad row in the
-    # last chunk is cited at its own line.
-    grid = TimeGrid(3.0, 2 * paths._READ_CHUNK_ROWS + 37)
+def test_read_csv_memory_stays_chunked(tmp_path):
+    # read_csv decodes and splits a chunk of rows at a time, so a 15,000-row
+    # file holds its bytes, a chunk's cell strings and the time column, not
+    # a string per line of the whole file.
+    grid = TimeGrid(10.0, 15_000)
+    values = sample_bm_rows(grid, DriftedLaw(), stream_words(0, [0], grid.n_steps))[0]
+    file = tmp_path / "path.csv"
+    with open(file, "w", encoding="utf-8") as fh:
+        fh.write("t,value\n")
+        np.savetxt(fh, np.column_stack([grid.times(), values]), fmt="%.17g", delimiter=",")
+    read_csv(file)  # checks the time column into the cache
+    tracemalloc.start()
+    try:
+        read_csv(file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6
+
+
+@pytest.mark.parametrize("bad", [None, "x,1", "1,inf", "1,2,3", "1,1e999", "1-2,1", "0.5,1"])
+def test_read_csv_agrees_across_row_chunks(tmp_path, bad):
+    # read_csv converts a canonical text a chunk at a time: a text of several
+    # chunks reads like the per-line reader, on the canonical route and,
+    # with blank lines, on the per-row scan, and a bad row in the last chunk
+    # is cited at its own line.
+    grid = TimeGrid(3.0, paths._READ_CHUNK_BYTES // 16 + 37)
     rows = [f"{t!r},{v!r}" for t, v in zip(grid.times().tolist(),
                                             np.sin(np.arange(grid.n_steps + 1)).tolist())]
-    rows[100:100] = ["", " "]
     if bad is not None:
         rows[-5] = bad
-    text = "\n".join(["t,value", *rows]) + "\n"
-    got = _outcome(lambda s: read_csv(io.StringIO(s)), text)
-    assert got == _outcome(read_csv_text, text)
-    assert (got[0] == grid) == (bad is None)
+    for blank in ([], ["", " "]):
+        text = "\n".join(["t,value", *rows[:100], *blank, *rows[100:]]) + "\n"
+        assert len(text) > 2 * paths._READ_CHUNK_BYTES
+        got = _outcomes(text, tmp_path)
+        assert got == [_outcome(read_csv_text, text)] * 2
+        assert (got[0][0] == grid) == (bad is None)
 
 
-def _outcome(read, text):
-    """What reading ``text`` gives: the path's grid and value bytes, or the
+def _outcome(read, source):
+    """What ``read(source)`` gives: the path's grid and value bytes, or the
     error's type and message."""
     try:
-        path = read(text)
+        path = read(source)
     except ValueError as exc:
         return type(exc), str(exc)
     return path.grid, path.values.tobytes()
+
+
+def _outcomes(text, directory):
+    """The outcomes of read_csv on ``text`` from an ``io.StringIO`` and
+    from a file in ``directory`` holding its UTF-8 bytes."""
+    file = pathlib.Path(directory) / "path.csv"
+    file.write_bytes(text.encode("utf-8"))
+    return [_outcome(read_csv, io.StringIO(text)), _outcome(read_csv, file)]
 
 
 _HOSTILE = {
@@ -327,6 +359,7 @@ _HOSTILE = {
     "padded cells": "t,value\n 0.0 , 1.0 \n\t0.5,  -2.5\n 1.0 ,2.0 \n",
     "padded header": "  t,value  \n0,0\n1,1\n",
     "no final newline": "t,value\n0.0,0.0\n1.0,1.0",
+    "cell after the final newline": "t,value\n0,0\n1,1\n5",
     "line separators": "t,value\u20280,0\x0c1,1\x1e2,3\n",
     "underscore value": "t,value\n0,1_0\n1,2\n",
     "underscore time": "t,value\n0,0\n1_0,1\n",
@@ -357,26 +390,34 @@ _HOSTILE = {
     "negative horizon after blank lines": "t,value\n0,0\n\n0.5,1\n\n-1,1\n\n",
     "signed zeros": "t,value\n-0.0,-0.0\n1,0.0\n",
     "subnormal step": "t,value\n0.0,0.0\n0.0,1.0\n5e-324,2.0\n",
+    "%.17g cells": "t,value\n0,0\n10,0.00020000000000000001\n20,3.6333057803809854e-05\n",
+    "other float spellings": "t,value\n0,1E5\n.5,+1.5\n1.,.5\n1.5,5.\n2,-0.0\n2.5,1e-320\n",
+    "1e999 time": "t,value\n0,0\n1e999,1\n",
+    "lone minus": "t,value\n0,0\n1,-\n",
+    "bare exponent": "t,value\n0,1e\n1,0\n",
+    "minus inside a cell": "t,value\n0,0\n1-2,1\n",
+    "two points": "t,value\n0,0\n1,..5\n",
 }
 
 
 @pytest.mark.parametrize("text", _HOSTILE.values(), ids=_HOSTILE.keys())
-def test_read_csv_agrees_with_per_line_reader(text):
-    assert _outcome(lambda s: read_csv(io.StringIO(s)), text) == _outcome(read_csv_text, text)
+def test_read_csv_agrees_with_per_line_reader(tmp_path, text):
+    assert _outcomes(text, tmp_path) == [_outcome(read_csv_text, text)] * 2
 
 
 _CELLS = ["0", "0.0", "-0.0", "0.5", "1", "1.0", " 1.0 ", "2", "1_0", "1e999", "nan", "inf",
-          "-inf", "", "x", "5e-324"]
+          "-inf", "", "x", "5e-324", ".5", "1e", "-"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(
     st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(",".join),
     st.sampled_from(["", " ", "\t"]),
-), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]))
-def test_read_csv_agrees_on_generated_text(rows, newline):
-    text = newline.join(["t,value", *rows]) + newline
-    assert _outcome(lambda s: read_csv(io.StringIO(s)), text) == _outcome(read_csv_text, text)
+), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+def test_read_csv_agrees_on_generated_text(rows, newline, final_newline):
+    text = newline.join(["t,value", *rows]) + newline * final_newline
+    with tempfile.TemporaryDirectory() as directory:
+        assert _outcomes(text, directory) == [_outcome(read_csv_text, text)] * 2
 
 
 def _cells_text(grid, values, fmt, blank_before=None):
@@ -398,11 +439,11 @@ def _with_time_cell(text, line, cell):
     return "\n".join(lines)
 
 
-def test_time_column_cache_never_changes_an_outcome():
+def test_time_column_cache_never_changes_an_outcome(tmp_path):
     # read_csv checks a time column once per process.  Texts read in turn,
-    # good and bad, each give what the per-line reader gives, whatever was
-    # read before them.  Only the columns that pass enter the cache, and it
-    # holds at most 8 of them.
+    # from text and from a file's bytes, good and bad, each give what the
+    # per-line reader gives, whatever was read before them.  Only the
+    # columns that pass enter the cache, and it holds at most 8 of them.
     grid = TimeGrid(4.0, 8)  # every time is three characters: 0.0, 0.5, ..., 4.0
     values = np.cos(np.arange(grid.n_steps + 1)).tolist()
     good = _cells_text(grid, values, repr)
@@ -424,20 +465,23 @@ def test_time_column_cache_never_changes_an_outcome():
     # The cache as a model: least recently used first, bad columns never in.
     model, misses = OrderedDict(), 0
     paths._time_grid.cache_clear()
+    file = tmp_path / "path.csv"
     for text in texts * 2:
-        got = _outcome(lambda s: read_csv(io.StringIO(s)), text)
-        assert got == _outcome(read_csv_text, text)
-        column = ",".join(row.partition(",")[0] for row in text.splitlines()[1:] if row)
-        if column in model:
-            model.move_to_end(column)
-        else:
-            misses += 1
-            if isinstance(got[0], TimeGrid):
-                model[column] = got[0]
-            if len(model) > 8:
-                model.popitem(last=False)
-        info = paths._time_grid.cache_info()
-        assert (info.misses, info.currsize, info.maxsize) == (misses, len(model), 8)
+        file.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), file):
+            got = _outcome(read_csv, source)
+            assert got == _outcome(read_csv_text, text)
+            column = ",".join(row.partition(",")[0] for row in text.splitlines()[1:] if row)
+            if column in model:
+                model.move_to_end(column)
+            else:
+                misses += 1
+                if isinstance(got[0], TimeGrid):
+                    model[column] = got[0]
+                if len(model) > 8:
+                    model.popitem(last=False)
+            info = paths._time_grid.cache_info()
+            assert (info.misses, info.currsize, info.maxsize) == (misses, len(model), 8)
 
 
 def test_time_column_cache_checks_each_column_once():
