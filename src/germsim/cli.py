@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coupling import (_couple_stems, germ_transform, sample_coupled_pair, validate_theta,
-                       validate_u)
+from .coupling import (_check_start, _couple_stems, germ_transform, sample_coupled_pair,
+                       validate_theta, validate_u)
 from .paths import (
-    CsvFormatError,
     DriftedLaw,
     Path,
     TimeGrid,
@@ -86,25 +85,21 @@ _OUTPUTS = ("manifest.json", "path_*.csv", "stem_*.csv", "branch_*.csv",
             "frag_times.csv", "frag_times.json", "frag_process_*.csv", "frag_process_*.json")
 
 
-def _make_dir(out: FsPath) -> None:
-    """Create ``out`` and its parents; a failure is reported under ``out``."""
+def _out_dir(out, outputs=_OUTPUTS) -> FsPath:
+    """Create the output directory ``out`` and delete every file of ``outputs``
+    an earlier run left in it, and the ``.tmp`` file of an interrupted write
+    of each, in that order (a run's manifest first), so the directory reads
+    as incomplete until this run commits its own manifest and holds no file
+    this run did not write.  A failure to create it is reported under ``out``."""
+    if out is None:
+        raise ValueError("out_dir is required")
+    out = FsPath(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"out: cannot create directory {str(out)!r}: "
                          f"{exc.strerror or exc}") from None
-
-
-def _out_dir(cfg: RunConfig) -> FsPath:
-    """Create the output directory and delete every output of an earlier run,
-    and the ``.tmp`` file of an interrupted write of each, its manifest
-    first, so the directory reads as incomplete until this run commits its
-    own manifest and holds no file this run did not write."""
-    if cfg.out_dir is None:
-        raise ValueError("out_dir is required")
-    out = FsPath(cfg.out_dir)
-    _make_dir(out)
-    for pattern in _OUTPUTS:
+    for pattern in outputs:
         for old in (*out.glob(pattern), *out.glob(f"{pattern}.tmp")):
             old.unlink()
     return out
@@ -150,7 +145,7 @@ def _write_frag_process(out: FsPath, fmt: str, i: int, thetas, frags) -> None:
 
 def cmd_sample(cfg: RunConfig) -> FsPath:
     """Write n_paths driftless stems as path_<id>.csv plus a manifest."""
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     grid = cfg.grid()
     for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
         for i, stem in zip(ids.tolist(), sample_bm_rows(grid, DriftedLaw(), words)):
@@ -162,7 +157,7 @@ def cmd_sample(cfg: RunConfig) -> FsPath:
 def cmd_couple(cfg: RunConfig, theta: float) -> FsPath:
     """Per path: stem CSV, coupled branch CSV, and a fragmentation-time table."""
     theta = validate_theta(theta)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     grid = cfg.grid()
     rows = []
     for i in range(cfg.n_paths):
@@ -184,7 +179,7 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
     uniform, so fragmentation times are non-increasing across the drift grid.
     """
     thetas = DriftGrid(cfg.thetas).thetas
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     grid = cfg.grid()
     for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps + 1, 0):
         stems = sample_bm_rows(grid, DriftedLaw(), words)
@@ -203,7 +198,7 @@ def cmd_bouquet(cfg: RunConfig) -> FsPath:
 def cmd_frag_process(cfg: RunConfig) -> FsPath:
     """Fragmentation-time process of fresh stems over the drift grid."""
     dgrid = DriftGrid(cfg.thetas)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     grid = cfg.grid()
     times = grid.times()
     for ids, words in word_rows(cfg.seed, cfg.n_paths, grid.n_steps, 0):
@@ -218,17 +213,19 @@ def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
     """Read a path CSV, apply the transform, write the result.
 
     ``theta`` and ``u`` are checked before the file is read.  A file that
-    cannot be read or written, or an input that is not a path CSV, is
-    reported under its flag, ``in`` or ``out``, and the path given there.
+    cannot be read or written, or an input that is not a path CSV starting
+    at 0, is reported under its flag, ``in`` or ``out``, and the path given
+    there.
     """
     validate_theta(theta)
     validate_u(u)
     try:
         path = read_csv(source)
+        _check_start(path.values[0])
     except OSError as exc:
         raise ValueError(f"in: cannot read {source!r}: {exc.strerror or exc}") from None
-    except CsvFormatError as exc:
-        raise CsvFormatError(f"in: {source!r}: {exc}") from None
+    except ValueError as exc:  # a CsvFormatError or a nonzero start
+        raise type(exc)(f"in: {source!r}: {exc}") from None
     branch = germ_transform(path, u, theta)
     try:
         write_csv(branch, destination)
@@ -239,10 +236,11 @@ def cmd_germ_transform(source, theta: float, u: float, destination) -> None:
 def cmd_verify(cfg: VerifyConfig, out_path: FsPath | None) -> int:
     """Run the verification suite; exit status 0 iff every check passes.
 
-    The output directory is created first, so an unusable ``--out`` fails
-    before the suite runs."""
+    The output directory is created and an earlier report in it deleted
+    first, so an unusable ``--out`` fails before the suite runs and a run
+    that fails leaves no report."""
     if out_path is not None:
-        _make_dir(out_path.parent)
+        _out_dir(out_path.parent, (out_path.name,))
     reports = run_verification(cfg)
     text = reports_to_json(reports)
     if out_path is not None:

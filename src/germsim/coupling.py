@@ -71,6 +71,16 @@ def validate_u(u: float) -> float:
     return value
 
 
+def _check_start(starts) -> None:
+    """Reject a stem that does not start at 0, the shared start w(0) = 0 the
+    construction assumes: the log ratio theta * w(T) - theta**2 * T / 2 and
+    the line theta * t / 2 both count from it.  ``starts`` holds the first
+    value of one stem or of many."""
+    starts = np.asarray(starts)
+    if (starts != 0.0).any():
+        raise ValueError(f"stem must start at 0, got {float(starts[starts != 0.0][0])!r}")
+
+
 def _log_likelihood_ratio(w_end, theta: float, horizon: float):
     return theta * w_end - 0.5 * theta * theta * horizon
 
@@ -89,13 +99,14 @@ def _keeps(u: float, log_ratio: float) -> bool:
 def germ_transform(w: Path, u: float, theta: float) -> Path:
     """Couple a driftless path to a drift-theta one on the same window.
 
-    If ``u`` is at most the endpoint likelihood ratio the input is returned
-    unchanged (agreement survives the horizon); otherwise the path is
-    reflected after its last line visit.  Either branch is a single sweep
-    over the samples.
+    ``w`` must start at 0.  If ``u`` is at most the endpoint likelihood
+    ratio the input is returned unchanged (agreement survives the horizon);
+    otherwise the path is reflected after its last line visit.  Either
+    branch is a single sweep over the samples.
     """
     validate_theta(theta)
     u = validate_u(u)
+    _check_start(w.values[0])
     if _keeps(u, _log_likelihood_ratio(float(w.values[-1]), theta, w.horizon)):
         return w
     return reflect_after_last_visit(w, theta)

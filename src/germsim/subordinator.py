@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _reflection_start, invert_time, validate_theta
+from .coupling import _check_start, _reflection_start, invert_time, validate_theta
 from .paths import _real
 
 
@@ -56,8 +56,7 @@ def fragmentation_process(times, stems, grid: DriftGrid) -> np.ndarray:
     times, stems = np.asarray(times), np.asarray(stems)
     if stems.shape[-1:] != times.shape:
         raise ValueError("stems must hold one value per time along the last axis")
-    if (stems[..., 0] != 0.0).any():
-        raise ValueError("stem must start at 0")
+    _check_start(stems[..., 0])
     thetas = np.array(grid.thetas)
     # A line beyond the range of a double compares as inf, which is right.
     with np.errstate(over="ignore"):
@@ -77,11 +76,13 @@ def fragmentation_process_dual(times, stems, grid: DriftGrid) -> np.ndarray:
     first point qualifies, and ``dt`` when no point does (only t = 0 is on
     or above the line).  theta = 0 is ``inf`` as in the direct route.
     Both routes pick the same grid index, so they differ only by the
-    rounding of 1 / (1 / t).
+    rounding of 1 / (1 / t).  Every stem must start at 0, as in the direct
+    route.
     """
-    times = np.asarray(times)
+    times, stems = np.asarray(times), np.asarray(stems)
     dt = times[1]
     s, inverted = invert_time(times, stems, dt)
+    _check_start(stems[..., 0])
     thetas = np.array(grid.thetas)
     at_or_above = inverted[..., None, :] >= 0.5 * thetas[:, None]
     first = np.where(at_or_above.any(axis=-1), at_or_above.argmax(axis=-1), s.size)

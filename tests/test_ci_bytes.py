@@ -1,11 +1,15 @@
-"""The workflow's CLI byte checks, run in process through ``cli.main``.
+"""The CLI byte contract, run in process through ``cli.main``.
 
-Each test function is one step of ``.github/workflows/tests.yml``, with its
-commands, file counts, sha256 digests and ``cmp`` pairs copied verbatim, so
-the bytes those steps pin are checked by every tier-1 run.
+The tests here pin whole CLI runs: the sha256 digest of every file they
+write, their file counts, and the byte equality of files that two commands
+must write alike.  With the goldens of ``test_cli.py`` and the seed-0
+report digests of ``test_batched.py``, they hold each CLI digest once, so a
+change that moves these bytes on purpose edits each digest in one place.
 """
 
 import hashlib
+import pathlib
+import re
 
 import pytest
 
@@ -14,7 +18,7 @@ from germsim.cli import main
 
 @pytest.fixture
 def run(tmp_path, monkeypatch):
-    """``germsim ARGS`` in ``tmp_path``, which must exit 0 as under ``bash -e``."""
+    """``germsim ARGS`` in ``tmp_path``, which must exit 0."""
     monkeypatch.chdir(tmp_path)
 
     def germsim(args):
@@ -79,6 +83,8 @@ CSV_ROUND_TRIP = {
     "R/transformed.csv": "dd659541adb406ef0ec9bac25f5dc4c49d7a25caa53a67cb7d966650386bafe0",
 }
 
+# Files longer than one write_csv block of 4,096 values, as the writers
+# produced them when each cell was formatted by its own repr call.
 CSV_LONG_FILES = {
     "C/branch_00000.csv": "e9e3de6b2855ad6856a72605e7105b8b7929f0948f97000246e77e6a27e5e9d6",
     "C/branch_00001.csv": "b2027af7073261368a767a3f2a8a3bd078e226b69b2e820f6f3b68dfbcdd1c15",
@@ -105,7 +111,8 @@ def test_csv_round_trip(run, tmp_path):
     run("couple --seed 0 --paths 2 --steps 1000 --horizon 10 --theta 2 --out R")
     run("germ-transform --in R/stem_00000.csv --theta 2 --u 0.5 --out R/transformed.csv")
     assert {name: _sha256(tmp_path / name) for name in CSV_ROUND_TRIP} == CSV_ROUND_TRIP
-    # Files longer than one write_csv block of 4,096 values.
+    # A couple run's stems and branches and a sample path reflected by
+    # germ-transform, of 10,001 and 15,001 rows.
     run("couple --seed 0 --paths 2 --steps 10000 --horizon 10 --theta 2 --out C")
     run("sample --seed 0 --paths 1 --steps 15000 --horizon 10 --out S")
     run("germ-transform --in S/path_00000.csv --theta 2 --u 0.9 --out T.csv")
@@ -127,3 +134,15 @@ def test_sample_matches_couple_stems(run, tmp_path, steps):
     for i in ("00000", "00001", "00002"):
         a, b = f"S{steps}/path_{i}.csv", f"C{steps}/stem_{i}.csv"
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes(), a
+
+
+def test_workflow_digests_are_pinned_in_tier_1():
+    # A digest the workflow checks must also be pinned by a tier-1 test, so
+    # a change that moves those bytes on purpose cannot update one copy only.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = re.compile(r"\b[0-9a-f]{64}\b")
+    workflow = set(digest.findall((root / ".github" / "workflows" / "tests.yml").read_text()))
+    tests = set()
+    for source in (root / "tests").glob("*.py"):
+        tests.update(digest.findall(source.read_text()))
+    assert workflow <= tests

@@ -178,6 +178,17 @@ def test_germ_transform_rejects_bad_u():
         germ_transform(w, 1.5, 1.0)
 
 
+def test_germ_transform_rejects_a_path_not_started_at_0():
+    # From a common start of 5 the log ratio is 2 * (3 - 5) - 2, not 2 * 3 - 2,
+    # so keeping this path at u = 0.99 would be wrong.
+    w = path_of([5.0, 4.0, 3.0], horizon=1.0)
+    with pytest.raises(ValueError, match=r"^stem must start at 0, got 5\.0$"):
+        germ_transform(w, 0.99, 2.0)
+    # The mirror alone takes any start.
+    w = path_of([5.0, -1.0, -2.0], horizon=1.0)
+    assert reflect_after_last_visit(w, 2.0).values.tolist() == [5.0, 2.0, 4.0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 4.0))
 def test_keep_branch_certain_when_endpoint_above_line(task, u, theta):
@@ -186,8 +197,8 @@ def test_keep_branch_certain_when_endpoint_above_line(task, u, theta):
     grid = TimeGrid(1.0, 16)
     w = Path(grid, stems_of(grid, 23, [task])[0])
     lift = line_value(theta, grid.horizon) - w.values[-1] + 0.125
-    if lift > 0:
-        w = Path(grid, w.values + lift)
+    if lift > 0:  # along t / T, so the path still starts at 0
+        w = Path(grid, w.values + lift * grid.times() / grid.horizon)
     assert w.values[-1] >= line_value(theta, grid.horizon)
     assert germ_transform(w, u, theta) is w
 

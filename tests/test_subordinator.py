@@ -117,9 +117,9 @@ def test_fragmentation_process_rejects_bad_stems():
     times = TimeGrid(1.0, 2).times()
     with pytest.raises(ValueError, match="^stems must hold one value per time"):
         fragmentation_process(times, np.zeros((2, 4)), DriftGrid((1.0,)))
-    with pytest.raises(ValueError, match="^stem must start at 0"):
-        fragmentation_process(times, np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]),
-                              DriftGrid((1.0,)))
+    for fn in (fragmentation_process, fragmentation_process_dual):
+        with pytest.raises(ValueError, match=r"^stem must start at 0, got 1\.0$"):
+            fn(times, np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]), DriftGrid((1.0,)))
 
 
 def test_dual_line_stem_round_trip():
