@@ -1,6 +1,6 @@
 """The ``repr`` text of float64 arrays, computed a block of values at a time.
 
-:func:`rows` gives the rows ``lead[i] + repr(values[i]) + "\\n"`` of a path
+:func:`text` gives the rows ``lead[i] + repr(values[i]) + "\\n"`` of a path
 CSV, byte for byte, without a Python step per value.  ``repr`` writes the
 shortest decimal that reads back as the double and, of the shortest, the one
 closest to it, the one with an even last digit on a tie (CPython's ``repr``
@@ -15,28 +15,34 @@ times a power of two, rounded to odd, give v and the two ends of its
 rounding interval in units of 10**k / 4.  At most one multiple of
 10**(k + 1) lies in the interval; if one does, it is the shortest decimal.
 Otherwise the shortest are the multiples of 10**k in it, and the one closest
-to v wins.  The products are exact ``np.uint64`` arithmetic
-(:func:`_mulhilo`), the same integers as Java's reference code.
-Every constant is an ``np.uint64``, so that numpy 1.x's value-based casting
-never turns a step into float64.
+to v wins.  The decimal found, f * 10**k, keeps its trailing zeros, and f
+always has 16 or 17 digits, so one comparison gives the digit count.  The
+products are exact ``np.uint64`` arithmetic (:func:`_mulhilo`), the same
+integers as Java's reference code.  Every constant is an ``np.uint64``, so
+that numpy 1.x's value-based casting never turns a step into float64.
 
 The text follows ``repr``'s layout.  With digits d1..dn and the point at
 position dp (v = 0.d1..dn * 10**dp), a value takes the exponent form
 ``d1.d2..dne-XX`` (at least two exponent digits) iff dp <= -4 or dp > 16,
 ``0.`` and -dp zeros before the digits when dp <= 0, and otherwise the point
-after dp digits, zeros and ``.0`` closing an integral value.  After its lead
-cell a row takes six 8-byte words: the sign, the ``0.000`` prefix, d1 and a
-point; four words of d2..d17, each digit followed by a point slot; the
-exponent and the newline.  Which characters a word keeps depends only on
-the sign, the digit count, d1 and dp, so each word is one gather from a
-table.  Dropped characters are NUL, and ``bytes.translate`` deletes them.
-``repr`` itself writes the rows of +-0.0, subnormals, inf, nan and values
-of at most 2 significant digits: Java's Schubfach has rules of its own for
-short decimals, which this kernel leaves out.
+after dp digits, zeros and ``.0`` closing an integral value.  A value takes
+four 8-byte words.  Word 0 is the sign, the ``0.000`` prefix and d1, taken
+from a table by (dp, sign, d1).  Words 1-3 hold d2..d17, eight to a word
+from a table of 4-digit groups whose trailing zeros are NUL, with the point
+put in by one shift of the digits after it; a table by dp adds the point,
+the zeros an integral value keeps, the exponent and the newline.  Dropped
+characters are NUL, and ``bytes.translate`` deletes them.  ``repr`` itself
+writes the rows of +-0.0, subnormals, inf, nan and values of at most 2
+significant digits: Java's Schubfach has rules of its own for short
+decimals, which this kernel leaves out.
 
-The tables (617 two-word powers of ten, a 4-digit table, 190 kB in all) are
-built on the first call, so importing germsim costs nothing.  A block holds
-``BLOCK`` values, which bounds the temporaries to about 1 MB.
+A file's lead cells are laid out once (:func:`lead`): the all-NUL words of
+each cell are left out, and each block's value words are scattered into the
+slots between the cells, so ``translate`` scans the whole text once, 42
+bytes a row on a 10,000-step grid on [0, 10].  The tables (617 two-word
+powers of ten, the 4-digit groups, 360 kB in all) are built on the first
+call, so importing germsim costs nothing.  A block holds ``BLOCK`` values,
+which bounds the temporaries to about 1 MB.
 """
 
 from __future__ import annotations
@@ -51,14 +57,17 @@ BLOCK = 4096
 # Decimal exponents of the table of g: k with 10**k <= 2**q for every
 # normal exponent q, and 10**k <= 3/4 * 2**q for the powers of two.
 _K_MIN, _K_MAX = -324, 292
-# Digits written per value: every double is exact to 17 significant digits.
-_DIGITS = 17
+# Point positions dp = k + 16 and k + 17, for the two digit counts of f.
+_DP_MIN, _DP_MAX = _K_MIN + 16, _K_MAX + 17
 # Words a value takes in its row, after the lead cell.
-_VALUE_WORDS = 6
+_VALUE_WORDS = 4
 
-_ONE, _TWO = np.uint64(1), np.uint64(2)
-_TEN = np.uint64(10)
-_E4, _E8 = np.uint64(10**4), np.uint64(10**8)
+_ONE, _TWO, _FOUR, _SEVEN = (np.uint64(i) for i in (1, 2, 4, 7))
+_TEN, _FORTY = np.uint64(10), np.uint64(40)
+_NOT3 = np.uint64(2**64 - 4)
+# Bit i set for the values i of vb & 7 that round s up (see _shortest).
+_NEARER_UP = np.uint64(1 << 3 | 1 << 6 | 1 << 7)
+_E4, _E8, _E15, _E16 = (np.uint64(10**i) for i in (4, 8, 15, 16))
 _EXP_SHIFT = np.uint64(52)
 _EXP_MASK = np.uint64(0x7FF)
 _FRAC_MASK = np.uint64(2**52 - 1)
@@ -71,6 +80,11 @@ _POW2_BIT = np.uint64(11)
 _ONE_BITS = np.array(1.0).view(np.uint64)[()]
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_BYTE, _TOP_BYTE = np.uint64(8), np.uint64(56)
+# Head words per point position: 2 signs times 10 first digits.
+_HEADS_PER_DP = np.uint64(20)
+# 4-digit groups: the offset of the table's second half.
+_GROUPS = np.uint64(10_000)
 
 
 # Giulietti's integer forms of three logarithms, for ints or int64 arrays;
@@ -93,25 +107,25 @@ def _flog2pow10(e: int) -> int:
 
 class _Tables(NamedTuple):
     g: np.ndarray       # rows g & (2**63 - 1), g >> 63; a column per k, _K_MIN.._K_MAX
-    k: np.ndarray       # decimal exponent by biased exponent | power-of-two flag << 11
+    k: np.ndarray       # k - _K_MIN by biased exponent | power-of-two flag << 11
     shift: np.ndarray   # c << shift is 4c scaled to g's power of two
-    pow10: np.ndarray   # 10**0 .. 10**17
-    quad: np.ndarray    # "d.d.d.d." of each 4-digit group, one word
-    quad_tz: np.ndarray  # trailing zeros of each 4-digit group, 4 for 0000
-    head: np.ndarray    # word 0 by (shape, sign, first digit)
-    keep: np.ndarray    # masks of words 1-4 by shape
-    tail: np.ndarray    # word 5 by dp + 323
+    quad: np.ndarray    # "dddd" of each 4-digit group; from 10**4 on, trailing zeros NUL
+    head: np.ndarray    # word 0 by (dp, sign, d1)
+    split: np.ndarray   # masks of the digits before the point: rows for words 1-2, by dp
+    tail: np.ndarray    # point, an integral value's zeros, exponent, newline: words 1-3 by dp
 
 
-def _shape(dp: int, nsig: int) -> tuple[bytes, bool, int, int]:
-    """Layout of a value with ``nsig`` digits and point position ``dp``:
-    the prefix before d1, whether a point follows d1, how many digits are
-    written, and the digit (2..16) a point follows, 0 for none."""
+def _layout(dp: int) -> tuple[bytes, int, bytes]:
+    """Layout of a value of at least 3 digits with point position ``dp``:
+    the prefix between the sign and d1; how many of d2..d17 precede the
+    point, 16 when the prefix holds it; and the bytes OR-ed into words 1-3
+    once the digits after the point have moved: the point, the zeros that
+    an integral value keeps (d2..d(dp+1)), the exponent and the newline."""
     if dp <= -4 or dp > 16:
-        return b"", nsig > 1, nsig, 0
+        return b"", 0, b"." + b"\0" * 16 + b"e%+03d\n" % (dp - 1)
     if dp <= 0:
-        return b"0." + b"0" * -dp, False, nsig, 0
-    return b"", dp == 1, max(nsig, dp + 1), dp if dp >= 2 else 0
+        return b"0." + b"0" * -dp, 16, b"\0" * 16 + b"\n"
+    return b"", dp - 1, b"0" * (dp - 1) + b".0" + b"\0" * (16 - dp) + b"\n"
 
 
 @functools.cache
@@ -128,31 +142,25 @@ def _tables() -> _Tables:
     q = (index & 0x7FF) - 1075
     pow2 = (index >> 11 == 1) & (q > -1074)
     k_of = np.where(pow2, _flog10_three_quarters_pow2(q), _flog10pow2(q))
-    shapes = [_shape(dpc - 4, nsig) for dpc in range(22) for nsig in range(_DIGITS + 1)]
-    head = np.zeros((len(shapes), 2, 10, 8), dtype=np.uint8)
-    for word, (prefix, point, _, _) in zip(head, shapes):
-        word[..., 1:1 + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-        word[..., 7] = ord(".") if point else 0
-    head[:, 1, :, 0] = ord("-")
-    head[..., 6] = np.arange(ord("0"), ord("9") + 1)
-    digit = np.arange(2, _DIGITS + 1)
-    written, after = (np.array([s[i] for s in shapes])[:, None] for i in (2, 3))
-    keep = np.stack((digit <= written, digit == after), axis=2).astype(np.uint8) * 0xFF
-    n = np.arange(10_000, dtype=np.int16)
-    quad = np.full((n.size, 8), ord("."), dtype=np.uint8)
-    for i, unit in enumerate((1000, 100, 10, 1)):
-        quad[:, 2 * i] = n // unit % 10 + ord("0")
-    tail = [b"e%+03d\n" % (dp - 1) if dp <= -4 or dp > 16 else b"\n" for dp in range(-323, 310)]
+    n = np.arange(10_000)
+    quad = np.stack([n // unit % 10 + ord("0") for unit in (1000, 100, 10, 1)], axis=1)
+    trimmed = np.where(np.cumsum((quad != ord("0"))[:, ::-1], axis=1)[:, ::-1] > 0, quad, 0)
+    layouts = [_layout(dp) for dp in range(_DP_MIN, _DP_MAX + 1)]
+    heads = b"".join((sign + prefix).rjust(7, b"\0") + b"0"
+                     for prefix, _, _ in layouts for sign in (b"", b"-"))
+    head = np.repeat(np.frombuffer(heads, dtype=np.uint8).reshape(-1, 2, 1, 8), 10, axis=2)
+    head[..., 7] += np.arange(10, dtype=np.uint8)
+    before = np.array([point for _, point, _ in layouts])
+    split = np.where(np.arange(16) < before[:, None], 0xFF, 0).astype(np.uint8)
+    tail = np.frombuffer(b"".join(end.ljust(24, b"\0") for _, _, end in layouts), dtype=np.uint8)
     return _Tables(
         g=np.array([[x & (2**63 - 1) for x in g], [x >> 63 for x in g]], dtype=np.uint64),
-        k=k_of.astype(np.int16),
-        shift=(q + _flog2pow10(-k_of) + 4).astype(np.uint8),
-        pow10=np.array([10**i for i in range(_DIGITS + 1)], dtype=np.uint64),
-        quad=quad.view(np.uint64).ravel(),
-        quad_tz=sum((n % 10**i == 0).view(np.int8) for i in range(1, 5)),
+        k=(k_of - _K_MIN).astype(np.uint64),
+        shift=(q + _flog2pow10(-k_of) + 4).astype(np.uint64),
+        quad=np.concatenate([quad, trimmed]).astype(np.uint8).view(np.uint32).astype(np.uint64).ravel(),
         head=head.view(np.uint64).ravel(),
-        keep=keep.reshape(len(shapes), 32).view(np.uint64),
-        tail=np.frombuffer(b"".join(w.ljust(8, b"\0") for w in tail), dtype=np.uint64),
+        split=np.ascontiguousarray(split.view(np.uint64).T),
+        tail=np.ascontiguousarray(tail.view(np.uint64).reshape(-1, 3).T),
     )
 
 
@@ -201,77 +209,106 @@ def _interval(c: np.ndarray, pow2: np.ndarray, g: np.ndarray, shift: np.ndarray)
 
 
 def _shortest(bits: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """(f, k) with f * 10**k the shortest decimal of each normal double."""
+    """(f, k - _K_MIN) with f * 10**k the shortest decimal of each normal
+    double, f of 16 or 17 digits."""
     idx = (bits >> _EXP_SHIFT) & _EXP_MASK
     c = bits & _FRAC_MASK
     pow2 = ((c == 0) & (idx > _ONE)).astype(np.uint64)
     c |= _HIDDEN
     idx |= pow2 << _POW2_BIT
     k = t.k.take(idx)
-    vb, vbl, vbr = _interval(c, pow2, t.g.take(k - _K_MIN, axis=1), t.shift.take(idx))
-    s = vb >> _TWO
-    sp = (s // _TEN) * _TEN
-    tp = sp + _TEN
-    u_in = vbl <= sp << _TWO
-    w_in = (tp << _TWO) <= vbr
-    s1 = s + _ONE
-    us_in = vbl <= s << _TWO
-    ws_in = (s1 << _TWO) <= vbr
-    mid = (s << _TWO) + _TWO
-    above = (vb > mid) | ((vb == mid) & (s & _ONE).astype(bool))
-    f = np.where(us_in != ws_in, np.where(us_in, s, s1), np.where(above, s1, s))
-    return np.where(u_in != w_in, np.where(u_in, sp, tp), f), k
+    vb, vbl, vbr = _interval(c, pow2, t.g.take(k, axis=1), t.shift.take(idx))
+    s4 = vb & _NOT3                            # 4s, s = floor(v / 10**k)
+    s = s4 >> _TWO
+    # s + 1 if only it lies in the interval, or if both or neither do and v
+    # is nearer to it: vb & 7 is 3, 6 or 7 (bit 2 is s's last digit's parity).
+    us_in = vbl <= s4
+    ws_in = s4 + _FOUR <= vbr
+    f = s + np.where(us_in != ws_in, ws_in, (_NEARER_UP >> (vb & _SEVEN)) & _ONE)
+    # A multiple of 10 wins if it is the only one of its two neighbours inside.
+    sp = s // _TEN * _TEN
+    sp4 = sp << _TWO
+    u_in = vbl <= sp4
+    w_in = sp4 + _FORTY <= vbr
+    return np.where(u_in != w_in, sp + _TEN * w_in, f), k
 
 
-def _fill(out: np.ndarray, x: np.ndarray, t: _Tables) -> None:
-    """Write ``repr(x[i]) + "\\n"`` into row i of ``out`` (6 words a row),
-    NUL where a row has no character."""
+def _fill(v: np.ndarray, x: np.ndarray, t: _Tables) -> None:
+    """Write the words of ``repr(x[i]) + "\\n"`` into ``v[:, i]`` (4 rows of
+    words), NUL where a word has no character."""
     bits = x.view(np.uint64)
     bq = (bits >> _EXP_SHIFT) & _EXP_MASK
     special = (bq == 0) | (bq == _EXP_MASK)    # zeros, subnormals, inf, nan
-    f, k = _shortest(np.where(special, _ONE_BITS, bits), t)
-    nd = np.searchsorted(t.pow10, f, side="right")
-    f = f * t.pow10.take(_DIGITS - nd)          # 17 digits d1..d17
-    dp = k + nd
+    f, dp = _shortest(np.where(special, _ONE_BITS, bits), t)
+    big = f >= _E16                             # 17 digits, else 16
+    dp += big                                   # now dp - _DP_MIN
+    f = np.where(big, f, f * _TEN)              # 17 digits d1..d17
     top = f // _E8
     d1 = top // _E8
-    eights = np.empty((len(x), 2), dtype=np.uint64)
-    eights[:, 0] = top - d1 * _E8               # d2..d9
-    eights[:, 1] = f - top * _E8                # d10..d17
-    quads = np.empty((len(x), 4), dtype=np.uint64)
-    quads[:, 0::2] = eights // _E4
-    quads[:, 1::2] = eights - quads[:, 0::2] * _E4
-    tz = t.quad_tz.take(quads)
-    q2, q3, q4 = quads[:, 1], quads[:, 2], quads[:, 3]
-    tz = tz[:, 3] + (q4 == 0) * (tz[:, 2] + (q3 == 0) * (tz[:, 1] + (q2 == 0) * tz[:, 0]))
-    nsig = _DIGITS - tz
-    shape = (np.clip(dp, -4, 17) + 4) * (_DIGITS + 1) + nsig
-    sign = (bits >> _SIGN_SHIFT).astype(np.intp)
-    out[:, 0] = t.head.take(shape * 20 + sign * 10 + d1.astype(np.intp))
-    out[:, 1:5] = t.quad.take(quads)
-    out[:, 1:5] &= t.keep.take(shape, axis=0)
-    out[:, 5] = t.tail.take(dp + 323)
-    for i in np.flatnonzero(special | (nsig <= 2)).tolist():
+    eights = np.empty((2, len(x)), dtype=np.uint64)
+    np.subtract(top, d1 * _E8, out=eights[0])   # d2..d9
+    np.subtract(f, top * _E8, out=eights[1])    # d10..d17
+    hi = eights // _E4                          # d2..d5, d10..d13
+    lo = eights - hi * _E4                      # d6..d9, d14..d17
+    # A 4-digit group followed by zero groups only is looked up in the
+    # second half of the table, where its trailing zeros are NUL.
+    tail_zero = eights[1] == 0
+    zero = lo == 0
+    zero[0] &= tail_zero
+    hi += zero * _GROUPS
+    lo[0] += tail_zero * _GROUPS
+    lo[1] += _GROUPS
+    digits = t.quad.take(hi)
+    digits |= t.quad.take(lo) << _SHIFT32       # d2..d9, d10..d17
+    # The digits after the point move one byte up to make room for it.
+    before = digits & t.split.take(dp, axis=1)
+    after = digits ^ before
+    np.bitwise_or(before, after << _BYTE, out=v[1:3])
+    v[2] |= after[0] >> _TOP_BYTE
+    np.right_shift(after[1], _TOP_BYTE, out=v[3])
+    v[1:] |= t.tail.take(dp, axis=1)
+    sign = bits >> _SIGN_SHIFT
+    t.head.take(dp * _HEADS_PER_DP + sign * _TEN + d1, out=v[0])
+    for i in np.flatnonzero(special | (f % _E15 == 0)).tolist():   # at most 2 digits
         cell = (repr(float(x[i])) + "\n").encode()
-        out[i] = np.frombuffer(cell.ljust(8 * _VALUE_WORDS, b"\0"), dtype=np.uint64)
+        v[:, i] = np.frombuffer(cell.ljust(8 * _VALUE_WORDS, b"\0"), dtype=np.uint64)
 
 
-def rows(lead: np.ndarray, values: np.ndarray):
-    """Yield the text of the rows ``lead[i] + repr(values[i]) + "\\n"``, one
-    string per block of ``BLOCK`` values.
+class Lead(NamedTuple):
+    """The words of a text with the values of its rows left out: the lead
+    cells without their all-NUL words, and ``_VALUE_WORDS`` NUL words for
+    each value, row i's from ``words[at[i]]`` on."""
+    words: np.ndarray
+    at: np.ndarray
 
-    ``values`` is a float64 array; ``lead`` is a bytes array (``S`` dtype,
-    an itemsize that is a multiple of 8) of NUL-padded ASCII cells, one per
-    value.
-    """
+
+def lead(cells: np.ndarray) -> Lead:
+    """The :class:`Lead` of rows that open with ``cells``, a bytes array
+    (``S`` dtype, an itemsize that is a multiple of 8) of NUL-padded ASCII
+    cells, one per row."""
+    width = cells.dtype.itemsize // 8
+    cell_words = cells.view(np.uint64).reshape(len(cells), width)
+    keep = np.ones((len(cells), width + _VALUE_WORDS), dtype=bool)
+    keep[:, :width] = cell_words != 0
+    place = np.cumsum(keep.ravel()).reshape(keep.shape) - 1
+    words = np.zeros(place[-1, -1] + 1, dtype=np.uint64)
+    words[place[:, :width][keep[:, :width]]] = cell_words[keep[:, :width]]
+    at = place[:, width].copy()
+    words.flags.writeable = at.flags.writeable = False   # a layout is cached and shared
+    return Lead(words, at)
+
+
+def text(lead: Lead, values: np.ndarray) -> bytes:
+    """The rows ``cells[i] + repr(values[i]) + "\\n"`` of ``lead`` as ASCII
+    bytes, for a float64 array ``values`` with one value per row."""
     t = _tables()
-    width = lead.dtype.itemsize // 8
-    lead = lead.view(np.uint64).reshape(len(lead), width)
-    raw = bytearray(8 * (width + _VALUE_WORDS) * min(BLOCK, len(values)))
-    row = np.frombuffer(raw, dtype=np.uint64).reshape(-1, width + _VALUE_WORDS)
+    raw = bytearray(lead.words)
+    words = np.frombuffer(raw, dtype=np.uint64)
+    v = np.empty((_VALUE_WORDS, min(BLOCK, len(values))), dtype=np.uint64)
     for start in range(0, len(values), BLOCK):
-        n = min(BLOCK, len(values) - start)
-        row[:n, :width] = lead[start:start + n]
-        _fill(row[:n, width:], values[start:start + n], t)
-        row[n:] = 0   # the rows a short last block leaves over write nothing
-        yield raw.translate(None, b"\0").decode("ascii")
+        block = values[start:start + BLOCK]
+        at = lead.at[start:start + BLOCK]
+        _fill(v[:, :len(block)], block, t)
+        for j in range(_VALUE_WORDS):
+            words[j:][at] = v[j, :len(block)]
+    return raw.translate(None, b"\0")

@@ -134,35 +134,50 @@ def sample_bm_rows(grid: TimeGrid, law: DriftedLaw, words: np.ndarray) -> np.nda
     return vals
 
 
+_HEADER = b"t,value\n"
+
+
 @functools.lru_cache(maxsize=8)
-def _time_cells(grid: TimeGrid) -> np.ndarray:
-    """The time cells of :func:`write_csv` for ``grid``: ``repr(t) + ","``
-    for each grid time, NUL-padded to the longest cell rounded up to a
-    multiple of 8 bytes (at most 24: a non-negative double and its comma).
+def _time_cells(grid: TimeGrid) -> _repr.Lead:
+    """The time cells of :func:`write_csv` for ``grid``, laid out by
+    :func:`germsim._repr.lead`: ``repr(t) + ","`` for each grid time, the
+    header before the first, NUL-padded to the longest cell rounded up to a
+    multiple of 8 bytes.
 
     Kept for the 8 most recently used grids: n_steps + 1 rows each."""
     cells = [f"{t!r}," for t in grid.times().tolist()]
-    return np.array(cells, dtype=f"S{-(-max(map(len, cells)) // 8) * 8}")
+    cells[0] = _HEADER.decode("ascii") + cells[0]
+    width = -(-max(map(len, cells)) // 8) * 8
+    return _repr.lead(np.array(cells, dtype=f"S{width}"))
 
 
 def write_csv(path: Path, destination) -> None:
     """Write ``t,value`` rows at full round-trip precision: each cell is the
     ``repr`` of a Python float, and the times are ``path.grid.times()``.
-    The values are formatted a block at a time by :mod:`germsim._repr`."""
-    text = "".join(["t,value\n", *_repr.rows(_time_cells(path.grid), path.values)])
+    The values are formatted a block at a time by :mod:`germsim._repr`.
+
+    ``destination`` is a file name, written in binary mode, or an object
+    whose ``write`` takes text."""
+    data = _repr.text(_time_cells(path.grid), path.values)
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.write(data.decode("ascii"))
     else:
-        _write_text(destination, text)
+        _write_bytes(destination, data)
 
 
 def _write_text(destination, text: str) -> None:
-    """Write ``text`` to the file ``destination`` through ``<name>.tmp`` and a
-    rename: a write that fails part-way leaves neither name holding part of
-    ``text``."""
+    """Write ``text`` to the file ``destination`` as UTF-8 bytes (see
+    :func:`_write_bytes`), so that no newline is translated."""
+    _write_bytes(destination, text.encode("utf-8"))
+
+
+def _write_bytes(destination, data: bytes) -> None:
+    """Write ``data`` to the file ``destination`` through ``<name>.tmp`` and
+    a rename: a write that fails part-way leaves neither name holding part
+    of ``data``."""
     tmp = pathlib.Path(f"{os.fspath(destination)}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, destination)
     finally:
         tmp.unlink(missing_ok=True)
@@ -171,8 +186,6 @@ def _write_text(destination, text: str) -> None:
 # Bytes of rows that read_csv decodes and splits into cells at a time; the
 # cell strings of a chunk take about four times its size.
 _READ_CHUNK_BYTES = 1 << 16
-
-_HEADER = b"t,value\n"
 
 # The bytes of a cell in a canonical text: all that repr and "%.17g" write
 # for a finite double.
@@ -195,8 +208,18 @@ def _time_grid(column: str) -> TimeGrid:
     files on one grid converts and checks their times once.  A column that
     is not a grid raises, and so is never kept: ``ValueError`` for a cell
     that is not a finite number, :class:`_GridError` otherwise.
+
+    The cells are split and converted ``_READ_CHUNK_BYTES`` of text at a
+    time, into one array of the column's length.
     """
-    ts = np.fromiter(map(float, column.split(",")), dtype=np.float64)
+    ts = np.empty(column.count(",") + 1)
+    row = start = 0
+    while row < ts.size:
+        end = column.find(",", start + _READ_CHUNK_BYTES)
+        cells = column[start:end if end >= 0 else len(column)].split(",")
+        ts[row:row + len(cells)] = np.fromiter(map(float, cells), dtype=np.float64,
+                                               count=len(cells))
+        row, start = row + len(cells), end + 1
     if not np.isfinite(ts).all():
         raise ValueError
     if ts.size < 2:

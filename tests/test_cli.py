@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import hashlib
 import io
@@ -286,16 +287,16 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, name):
         argv = argv + ["--in", str(src), "--out", str(out / name)]
     else:
         argv = argv + ["--out", str(out)]
-    # Every file the CLI writes goes through Path.write_text on <name>.tmp.
-    write_text = pathlib.Path.write_text
+    # Every file the CLI writes goes through Path.write_bytes on <name>.tmp.
+    write_bytes = pathlib.Path.write_bytes
 
-    def fail_midway(self, text, *args, **kwargs):
+    def fail_midway(self, data):
         if self.name.startswith(name):
-            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            write_bytes(self, data[: len(data) // 2])
             raise OSError("disk full")
-        return write_text(self, text, *args, **kwargs)
+        return write_bytes(self, data)
 
-    monkeypatch.setattr(pathlib.Path, "write_text", fail_midway)
+    monkeypatch.setattr(pathlib.Path, "write_bytes", fail_midway)
     assert main(argv) == 2
     assert not (out / name).exists()
     assert not list(tmp_path.rglob("*.tmp"))
@@ -408,6 +409,27 @@ def test_couple_json_format(tmp_path):
     assert len(doc) == 2
     for entry in doc:
         assert entry["censored"] == (entry["frag_time"] is None)
+
+
+def test_couple_opens_every_output_in_binary_mode(tmp_path, monkeypatch):
+    # A file opened in text mode turns "\n" into os.linesep where that is
+    # "\r\n", so no digest of the output bytes would hold there.
+    out = tmp_path / "run"
+    modes = {}
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and pathlib.Path(file).parent == out:
+            modes.setdefault(pathlib.Path(file).name.removesuffix(".tmp"), set()).add(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    for fmt in ("csv", "json"):
+        assert main(["couple", "--paths", "2", "--steps", "8", "--theta", "1",
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert set(modes) >= {p.name for p in out.iterdir()} > set()
+    assert all("b" in mode for opened in modes.values() for mode in opened), modes
 
 
 def test_bouquet_shared_prefix_and_monotone_frags(tmp_path):

@@ -19,7 +19,7 @@ _SRC = str(pathlib.Path(_repr.__file__).resolve().parents[1])
 def _cells(values):
     """The kernel's text of each value, with no lead cell."""
     values = np.asarray(values, dtype=np.float64)
-    text = "".join(_repr.rows(np.zeros(values.size, dtype="S8"), values))
+    text = _repr.text(_repr.lead(np.zeros(values.size, dtype="S8")), values).decode("ascii")
     return text.split("\n")[:-1]
 
 
@@ -44,6 +44,19 @@ def _around(value, ulps):
 def test_every_power_of_two():
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     _assert_repr(np.concatenate([powers, -powers]))
+
+
+def test_shortest_digits_are_16_or_17():
+    # The decimal _shortest finds keeps its trailing zeros, so the digit
+    # count needs one comparison.
+    rng = np.random.default_rng(16)
+    normal = rng.integers(1, 0x7FF, size=100_000, dtype=np.uint64) << np.uint64(52)
+    normal |= rng.integers(0, 2**52, size=normal.size, dtype=np.uint64)
+    normal |= rng.integers(0, 2, size=normal.size, dtype=np.uint64) << np.uint64(63)
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    for values in (np.ldexp(1.0, np.arange(-1022, 1024)), tens, -tens, _from_bits(normal)):
+        f, _ = _repr._shortest(values.view(np.uint64), _repr._tables())
+        assert ((f >= np.uint64(10**15)) & (f < np.uint64(10**17))).all()
 
 
 def test_powers_of_ten():
@@ -149,7 +162,7 @@ def test_table_of_g_brackets_each_power_of_ten():
 
 def test_lead_cells_precede_each_value():
     lead = np.array([b"0.0,", b"0.25,", b"0.5,"], dtype="S24")
-    text = "".join(_repr.rows(lead, np.array([-0.0, 1e-5, 123.0])))
+    text = _repr.text(_repr.lead(lead), np.array([-0.0, 1e-5, 123.0])).decode("ascii")
     assert text == "0.0,-0.0\n0.25,1e-05\n0.5,123.0\n"
 
 
